@@ -9,13 +9,13 @@ model.  The rendered comparison is archived as
 headline numbers as ``benchmarks/results/BENCH_serving.json``.
 
 The **fast-path mode** measures the simulator's own host throughput
-(trace arrivals processed per wall-clock second) with the dispatch
-memo on vs off, and against the archived pre-fast-path baseline walls
-(:data:`PR6_BASELINE`, measured on the same protocol before the memo /
-batched event loop / incremental stats work landed).  Its hard gate is
-*byte identity*: the memo-on and memo-off runs must produce the same
-``StatsReport`` JSON, byte for byte — the fast path is an optimisation,
-never a behaviour change.
+(trace arrivals processed per wall-clock second) against the archived
+pre-fast-path baseline walls (:data:`PR6_BASELINE`, measured on the
+same protocol before the memo / batched event loop / incremental stats
+work landed).  Its hard gate is *byte identity*: an untraced run and a
+``sample=4`` traced run must produce the same ``StatsReport`` JSON,
+byte for byte — tracing observes the one dispatch lane, it never
+changes simulated behaviour.
 
 Run as a script (``python benchmarks/bench_serving.py [--quick]``) it
 writes the results JSON and exits non-zero on any gate failure; under
@@ -49,8 +49,8 @@ QUICK_SPEC = dict(duration_s=1.5, rate_rps=6000.0, seed=7)
 #: eval-cache models already evaluated), best of 3, otherwise-idle
 #: host.  The "after" numbers are re-measured live by
 #: :func:`run_fastpath`, so the speedup-vs-baseline field is only
-#: meaningful on comparable hardware — the CI gates use the live
-#: memo-on/off ratio and byte identity instead.
+#: meaningful on comparable hardware — the CI gates use an absolute
+#: throughput floor and byte identity instead.
 PR6_BASELINE = {
     "commit": "4fd1e26",
     "protocol": "warm best-of-3, idle host, full workload",
@@ -61,11 +61,12 @@ PR6_BASELINE = {
     "single_loadgen_rps": 9461.0,      # 35830 arrivals / 3.787 s
 }
 
-#: CI floors, deliberately conservative: shared runners are slow and
-#: noisy, so the absolute floor is ~8x under this box's measured rate
-#: and the memo ratio floor well under the ~2.4x measured here.
+#: CI floor, deliberately conservative: shared runners are slow and
+#: noisy, so the absolute floor is ~8x under this box's measured rate.
 MIN_LOADGEN_RPS = 10_000.0
-MIN_MEMO_SPEEDUP = 1.2
+
+#: Trace sampling rate of the byte-identity leg.
+TRACE_SAMPLE = 4
 
 
 def _digest(report) -> str:
@@ -80,13 +81,21 @@ def _latency_summary(report):
             "completed": report.completed}
 
 
-def _configs(memo: bool = True):
+def _configs():
     from repro.serve import BatchPolicy, ServerConfig
 
-    batched = ServerConfig(dispatch_memo=memo)
-    single = ServerConfig(policy=BatchPolicy(max_batch=1, max_wait_s=0.0),
-                          dispatch_memo=memo)
+    batched = ServerConfig()
+    single = ServerConfig(policy=BatchPolicy(max_batch=1, max_wait_s=0.0))
     return batched, single
+
+
+def _traced_report(config, trace):
+    """One run with sampled tracing attached."""
+    from repro.serve import Server
+
+    server = Server(config)
+    server.enable_tracing(sample=TRACE_SAMPLE)
+    return server.run(trace)
 
 
 def _timed_run(config, trace, rounds: int):
@@ -111,13 +120,14 @@ def _timed_run(config, trace, rounds: int):
 
 
 def run_fastpath(quick: bool = False) -> dict:
-    """Measure the simulator's host throughput, memo on vs off."""
+    """Measure the simulator's host throughput; check that sampled
+    tracing leaves the reports byte-identical."""
     from repro.serve import Server, TrafficSpec, generate_trace
 
     spec = TrafficSpec(**(QUICK_SPEC if quick else FULL_SPEC))
     trace = generate_trace(spec)
     rounds = 2 if quick else 3
-    batched_cfg, single_cfg = _configs(memo=True)
+    batched_cfg, single_cfg = _configs()
     # Warm the process-wide advisor/eval-cache models so the walls
     # measure the serving loop, not one-time model evaluation.
     Server(batched_cfg).run(trace)
@@ -126,14 +136,10 @@ def run_fastpath(quick: bool = False) -> dict:
         batched_cfg, trace, rounds)
     single_wall, single_report, _ = _timed_run(single_cfg, trace, rounds)
 
-    off_batched_cfg, off_single_cfg = _configs(memo=False)
-    off_batched_wall, off_batched_report, _ = _timed_run(
-        off_batched_cfg, trace, rounds)
-    off_single_wall, off_single_report, _ = _timed_run(
-        off_single_cfg, trace, rounds)
+    traced_batched = _traced_report(batched_cfg, trace)
+    traced_single = _traced_report(single_cfg, trace)
 
     combined = batched_wall + single_wall
-    off_combined = off_batched_wall + off_single_wall
     loadgen_rps = 2 * len(trace) / combined if combined else 0.0
     memo = batched_server.dispatch_memo_stats()
     return {
@@ -148,23 +154,17 @@ def run_fastpath(quick: bool = False) -> dict:
             "single_loadgen_rps": round(len(trace) / single_wall, 1)
             if single_wall else 0.0,
         },
-        "memo_off": {
-            "batched_wall_s": round(off_batched_wall, 3),
-            "single_wall_s": round(off_single_wall, 3),
-            "combined_wall_s": round(off_combined, 3),
-        },
         "before": dict(PR6_BASELINE),
-        "memo_speedup_x": round(off_combined / combined, 2)
-        if combined else 0.0,
         "speedup_vs_pr6_x": round(
             PR6_BASELINE["combined_wall_s"] / combined, 2)
         if (combined and not quick) else None,
         "single_speedup_vs_pr6_x": round(
             PR6_BASELINE["single_wall_s"] / single_wall, 2)
         if (single_wall and not quick) else None,
+        "trace_sample": TRACE_SAMPLE,
         "byte_identical": (
-            _digest(batched_report) == _digest(off_batched_report)
-            and _digest(single_report) == _digest(off_single_report)),
+            _digest(batched_report) == _digest(traced_batched)
+            and _digest(single_report) == _digest(traced_single)),
         "dispatch_memo": memo,
     }
 
@@ -213,13 +213,9 @@ def check_gates(payload: dict) -> list:
     failures = []
     fast = payload["fast_path"]
     if not fast["byte_identical"]:
-        failures.append("memo-on and memo-off reports are not "
-                        "byte-identical — the fast path changed "
-                        "simulated behaviour")
-    if fast["memo_speedup_x"] < MIN_MEMO_SPEEDUP:
-        failures.append(
-            f"dispatch memo speedup x{fast['memo_speedup_x']} below "
-            f"the x{MIN_MEMO_SPEEDUP} floor")
+        failures.append(f"untraced and sample={fast['trace_sample']} "
+                        f"traced reports are not byte-identical — "
+                        f"tracing changed simulated behaviour")
     if fast["after"]["loadgen_rps"] < MIN_LOADGEN_RPS:
         failures.append(
             f"loadgen throughput {fast['after']['loadgen_rps']:.0f} "
@@ -255,15 +251,12 @@ def _render_text(payload: dict, batched, single) -> str:
         f"x{payload['throughput_speedup_x']:.2f}",
         "",
         "== simulator fast path (host time) ==",
-        f"memo on : batched {fast['after']['batched_wall_s']:.3f}s + "
+        f"batched {fast['after']['batched_wall_s']:.3f}s + "
         f"single {fast['after']['single_wall_s']:.3f}s = "
         f"{fast['after']['combined_wall_s']:.3f}s "
         f"({fast['after']['loadgen_rps']:,.0f} arrivals/s)",
-        f"memo off: batched {fast['memo_off']['batched_wall_s']:.3f}s + "
-        f"single {fast['memo_off']['single_wall_s']:.3f}s = "
-        f"{fast['memo_off']['combined_wall_s']:.3f}s",
-        f"memo speedup: x{fast['memo_speedup_x']:.2f}   "
-        f"byte-identical reports: {fast['byte_identical']}",
+        f"untraced vs sample={fast['trace_sample']} traced reports "
+        f"byte-identical: {fast['byte_identical']}",
     ]
     if fast["speedup_vs_pr6_x"] is not None:
         lines.append(
@@ -322,7 +315,6 @@ if pytest is not None:
         assert not failures, "; ".join(failures)
         fast = payload["fast_path"]
         benchmark.extra_info["loadgen_rps"] = fast["after"]["loadgen_rps"]
-        benchmark.extra_info["memo_speedup_x"] = fast["memo_speedup_x"]
 
 
 def main(argv=None) -> int:

@@ -316,7 +316,6 @@ def _server_config(args):
         timeout_s=args.timeout_ms / 1000.0,
         device=DEVICES[args.device],
         plan_cache_capacity=args.cache_capacity,
-        dispatch_memo=not getattr(args, "no_dispatch_memo", False),
     )
 
 
@@ -782,7 +781,7 @@ def _host_hotspots(top: int) -> str:
     batch-1 over the same trace) and return the hottest-function table.
 
     This profiles *host* time spent simulating — the quantity the
-    dispatch-memo fast path optimises — not simulated time; the run's
+    dispatch memo optimises — not simulated time; the run's
     simulated report is identical to an unprofiled one.
     """
     import cProfile
@@ -1101,10 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queueing timeout before shedding (default 250 ms)")
         p.add_argument("--cache-capacity", type=int, default=128,
                        help="plan cache entries (default 128)")
-        p.add_argument("--no-dispatch-memo", action="store_true",
-                       help="disable the dispatch memo fast path "
-                            "(reference scheduler; same-seed reports are "
-                            "byte-identical either way, just slower)")
         p.add_argument("--device", choices=sorted(DEVICES),
                        default="Tesla K40c", help="modelled GPU")
 

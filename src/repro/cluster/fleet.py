@@ -461,24 +461,18 @@ class Cluster:
             comps = stats.completions
             if len(comps) == start:
                 continue
-            if filtering:
+            for c in comps[start:]:
                 # Hedged rids complete once fleet-side: the winner is
                 # kept, the losing copy's completion (if it raced to
                 # execute anyway) is dropped here.
-                for c in comps[start:]:
-                    if health.on_completion(c.request.rid, replica, now):
-                        self._win_completions.append(
-                            (c.finish_s, c.latency_s, c.queue_wait_s))
-                        self._all_latencies.append(c.latency_s)
-                        if telemetry is not None:
-                            telemetry.observe(c, replica)
-            else:
-                for c in comps[start:]:
-                    self._win_completions.append(
-                        (c.finish_s, c.latency_s, c.queue_wait_s))
-                    self._all_latencies.append(c.latency_s)
-                    if telemetry is not None:
-                        telemetry.observe(c, replica)
+                if filtering and not health.on_completion(c.request.rid,
+                                                          replica, now):
+                    continue
+                self._win_completions.append(
+                    (c.finish_s, c.latency_s, c.queue_wait_s))
+                self._all_latencies.append(c.latency_s)
+                if telemetry is not None:
+                    telemetry.observe(c, replica)
             self._consumed[replica.index] = len(comps)
 
     def _retire_idle_drainers(self, now_s: float) -> None:

@@ -181,7 +181,7 @@ class Replica:
 
     def admit(self, request: Request) -> bool:
         """Offer one routed request to this replica's admission queue."""
-        return self.server.admit(request)
+        return self.server.admit((request,)) == 1
 
     def poll(self, now_s: float, drain: bool = False) -> None:
         """Advance this replica's serving loop up to fleet time

@@ -81,9 +81,8 @@ class FleetTelemetry:
                                 device=device)
         self.rollups.add_probe(f"{replica.name}.plan_cache",
                                server.plan_cache.stats, device=device)
-        if server.dispatch_memo_stats() is not None:
-            self.rollups.add_probe(f"{replica.name}.dispatch_memo",
-                                   server.dispatch_memo_stats, device=device)
+        self.rollups.add_probe(f"{replica.name}.dispatch_memo",
+                               server.dispatch_memo_stats, device=device)
         self._make_recorder(replica.name, replica.tracer)
 
     def _replica_states(self) -> Dict[str, str]:

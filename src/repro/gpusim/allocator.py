@@ -48,11 +48,6 @@ class DeviceAllocator:
         Bytes considered permanently allocated before the workload runs
         (CUDA context + framework runtime).  The paper's ``nvidia-smi``
         numbers include this; ~100 MB is typical for CUDA 7.5.
-
-    An *observer* callable may be attached with :meth:`set_observer`;
-    it receives ``(event, buffer, in_use)`` on every successful
-    ``alloc``/``free``.  The serving scheduler uses this to keep a
-    live memory watermark per batch without wrapping every call site.
     """
 
     def __init__(self, device: DeviceSpec, baseline: int = 100 * 2**20):
@@ -66,13 +61,7 @@ class DeviceAllocator:
         self._next_handle = 1
         self._in_use = baseline
         self._peak = baseline
-        self._observer: Optional[Callable[[str, Buffer, int], None]] = None
         self._pressure: Optional[Callable[[], int]] = None
-
-    def set_observer(self,
-                     fn: Optional[Callable[[str, Buffer, int], None]]) -> None:
-        """Attach (or with ``None`` detach) the alloc/free observer."""
-        self._observer = fn
 
     def set_pressure(self, fn: Optional[Callable[[], int]]) -> None:
         """Attach (or with ``None`` detach) a memory-pressure source.
@@ -112,12 +101,6 @@ class DeviceAllocator:
         return max(0, int(self._pressure()))
 
     @property
-    def observed(self) -> bool:
-        """Whether an alloc/free observer is attached (observers see
-        per-buffer events the memoized replay path skips)."""
-        return self._observer is not None
-
-    @property
     def live_buffers(self) -> int:
         return len(self._live)
 
@@ -145,8 +128,6 @@ class DeviceAllocator:
         self._live[buf.handle] = buf
         self._in_use += rounded
         self._peak = max(self._peak, self._in_use)
-        if self._observer is not None:
-            self._observer("alloc", buf, self._in_use)
         return buf
 
     def replay_transient(self, rounded_sizes, total_rounded: int) -> None:
@@ -161,9 +142,6 @@ class DeviceAllocator:
         allocated prefix is charged before the error propagates (the
         real loop bumps the peak per successful alloc and the caller
         frees the prefix afterwards).  Net ``in_use`` is unchanged.
-
-        Only valid when no observer is attached (observers see per-
-        buffer events the replay skips); callers gate on that.
         """
         capacity = self.device.global_memory_bytes
         start = self._in_use
@@ -193,8 +171,6 @@ class DeviceAllocator:
         if stored is None:
             raise AllocationError(f"free of unknown or already-freed buffer {buf.handle}")
         self._in_use -= stored.rounded_size
-        if self._observer is not None:
-            self._observer("free", stored, self._in_use)
 
     def free_all(self) -> None:
         """Release every live buffer (end of benchmark iteration)."""

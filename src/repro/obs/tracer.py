@@ -29,8 +29,7 @@ exactly, and the simulated report is byte-identical to an untraced
 run.  Call sites distinguish ``tracer.enabled`` (is this a real
 tracer at all — drives span bookkeeping like hit-rate annotations)
 from ``tracer.recording`` (are spans being kept *right now* — drives
-expensive span synthesis like gpusim kernel leaves, and gates the
-scheduler's dispatch fast path).
+expensive span synthesis like gpusim kernel leaves).
 """
 
 from __future__ import annotations
@@ -357,7 +356,7 @@ class TraceSampler:
     @property
     def recording(self) -> bool:
         """False inside a dropped unit (call sites skip span synthesis
-        and take the dispatch fast path there)."""
+        there)."""
         return self._suppressed == 0
 
     def span(self, name: str, cat: str = "span", **attrs):

@@ -7,9 +7,11 @@ A single simulated device drains the admission queue batch by batch:
 3. ask the dynamic batcher for the next same-shape batch;
 4. resolve the batch's *ranked* plan list — plan-cache hit, or advisor
    ranking on a miss — then replay the chosen implementation's memory
-   plan through the device allocator and advance the
-   :class:`~repro.gpusim.timing.SimClock` by the simulated service
-   time;
+   plan (memoized per shape, batch and implementation by the
+   :class:`~repro.core.evalcache.DispatchMemo`) through
+   :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
+   and advance the :class:`~repro.gpusim.timing.SimClock` by the
+   simulated service time;
 5. if the batch does not fit device memory, split it in half and try
    the halves (a single sample that still does not fit is shed, with
    its own ``memory`` shed cause).
@@ -40,9 +42,11 @@ a :class:`~repro.obs.tracer.SimTracer` is attached (see
 — admission events, batch spans, plan lookups (with the advisor
 ranking and evalcache accesses nested inside on a miss), dispatch
 attempts with their gpusim kernel launches as leaves, and fault
-injections as span events on the affected spans.  The default tracer
-is the no-op :data:`~repro.obs.tracer.NULL_TRACER`, which keeps the
-untraced hot path byte-identical to the pre-observability scheduler.
+injections as span events on the affected spans.  There is one path
+per step, traced or not: the default tracer is the no-op
+:data:`~repro.obs.tracer.NULL_TRACER`, on which every span and event
+call costs nothing, so tracing only observes the lane and never forks
+it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from ..obs.tracer import SimTracer, TraceSampler
 from ..rng import DEFAULT_SEED
 from .batcher import BatchPolicy, DynamicBatcher
 from .loadgen import Arrival
-from .plan_cache import PlanCache, _MISSING
+from .plan_cache import PlanCache
 from .queue import AdmissionQueue
 from .request import Request, ShapeKey, batched_config, fast_request
 from .resilience import CircuitBreaker, ResilienceConfig
@@ -101,12 +105,6 @@ class ServerConfig:
     #: ``None`` (the default) keeps the run byte-identical to an
     #: unmonitored one.
     slo: Optional[SLOPolicy] = None
-    #: Memoize per-(shape, batch, implementation) memory plans so
-    #: repeat dispatches replay the allocation episode instead of
-    #: re-deriving it (:class:`~repro.core.evalcache.DispatchMemo`).
-    #: Purely a host-time optimisation — reports, metrics and traces
-    #: are byte-identical with it off.
-    dispatch_memo: bool = True
     #: Attach live windowed rollups (:mod:`repro.obs.timeseries`).
     #: ``None`` (the default) runs without the telemetry plane; the
     #: plane itself is observational only — the report is
@@ -170,24 +168,20 @@ class Server:
                                            device=self._device_label,
                                            result="miss")
         self._forward_scale = FORWARD_FRACTION if config.forward_only else 1.0
-        #: Memory-plan memo behind the dispatch fast path; None when
-        #: disabled (``--no-dispatch-memo``).
-        self._memo: Optional[DispatchMemo] = (DispatchMemo()
-                                              if config.dispatch_memo
-                                              else None)
+        #: Per-(shape, batch, implementation) memory plans, replayed on
+        #: every dispatch instead of re-deriving the allocation episode.
+        self._memo = DispatchMemo()
         self._fallback_limit = 1 + config.resilience.max_fallbacks
         # (key, padded) -> LayerConfig; pure function of its key, so
         # the frozen configs are shared across dispatches.
         self._config_cache: Dict[Tuple[ShapeKey, int], object] = {}
-        #: (simulated time, bytes in use) per allocator event, when
+        self._record_timeline = record_timeline
+        #: (simulated time, bytes in use) when each dispatched batch's
+        #: buffers are charged and when they are released, when
         #: timeline recording is on.
         self.memory_timeline: List[Tuple[float, int]] = []
         self._allocator = DeviceAllocator(config.device,
                                           baseline=CONTEXT_BYTES)
-        if record_timeline:
-            self._allocator.set_observer(
-                lambda event, buf, in_use:
-                self.memory_timeline.append((self.clock.now_s, in_use)))
         self._injector: Optional[FaultInjector] = None
         if fault_plan is not None and not fault_plan.is_noop:
             seed = DEFAULT_SEED if fault_seed is None else fault_seed
@@ -240,37 +234,21 @@ class Server:
         self.obs.tracer = tracer
         return tracer
 
-    def dispatch_memo_stats(self) -> Optional[Dict[str, object]]:
-        """Hit/miss counters of the dispatch memo (None when disabled).
+    def dispatch_memo_stats(self) -> Dict[str, object]:
+        """Hit/miss counters of the dispatch memo.
 
         Deliberately *not* part of the metrics registry or the report:
-        the memo is purely a host-side optimisation, and folding its
-        traffic into observable state would break the memo-on/off
-        byte-identity invariant the benches gate on.
+        the memo is purely a host-side optimisation, so its traffic
+        stays out of the simulated state that same-seed digests cover.
         """
-        return None if self._memo is None else self._memo.stats()
+        return self._memo.stats()
 
     # ------------------------------------------------------------------
 
     def _plan_for(self, key: ShapeKey, batch: int) -> Tuple[RankedPlan, ...]:
         cache_key = (key, batch, self._device_key)
-        tracer = self.obs.tracer
-        if not tracer.enabled:
-            # Span-free hot path: identical cache traffic (the lookup
-            # still counts its hit or miss) without building a compute
-            # closure per call.
-            plans = self.plan_cache.get(cache_key)
-            if plans is not _MISSING:
-                self._pc_hits.inc()
-                return plans
-            self._pc_misses.inc()
-            plans = self.advisor.plan_ranked(
-                batched_config(key, batch),
-                memory_budget=self.config.memory_budget,
-                device=self.config.device)
-            self.plan_cache.put(cache_key, plans)
-            return plans
-        with tracer.span("serve.plan", cat="serve", batch=batch) as sp:
+        with self.obs.tracer.span("serve.plan", cat="serve",
+                                  batch=batch) as sp:
             hit = cache_key in self.plan_cache
             (self._pc_hits if hit else self._pc_misses).inc()
             plans = self.plan_cache.get_or_compute(
@@ -283,8 +261,7 @@ class Server:
         return plans
 
     def _service_time(self, plan: RankedPlan) -> float:
-        scale = FORWARD_FRACTION if self.config.forward_only else 1.0
-        return plan.time_s * scale
+        return plan.time_s * self._forward_scale
 
     def _effective_cap(self) -> Optional[int]:
         """The degraded batch cap, dropped once pressure passes."""
@@ -304,132 +281,74 @@ class Server:
         """Run one batch on one implementation, retrying transient
         faults up to the resilience budget.
 
+        The memory plan comes from the dispatch memo (keyed by shape,
+        batch, implementation, device and the plan-cache corruption
+        epoch) and is replayed through
+        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`,
+        which charges the same peak and raises the same error at the
+        same buffer as allocating and freeing every buffer would.
+
         Raises :class:`_RetriesExhausted` when the budget burns out
         (the caller falls back to the next-ranked plan) and
         :class:`DeviceOOMError` / :class:`MemoryPressureError` when the
         memory plan does not fit (the caller splits or sheds).
         """
-        if (self._memo is not None and not self.obs.tracer.recording
-                and not self._allocator.observed):
-            self._dispatch_fast(plan, rank, config, padded, requests, stats)
-            return
-        impl = resolve_implementation(plan.implementation)
-        res = self.config.resilience
+        impl_name = plan.implementation
+        impl = resolve_implementation(impl_name)
+        allocator = self._allocator
+        clock = self.clock
+        injector = self._injector
         tracer = self.obs.tracer
-        attempts = 0
+        sizes, total = self._memo.memory_plan(
+            (requests[0].key, padded, impl_name, self._device_key,
+             self.plan_cache.corruptions),
+            impl, config)
+        fill = len(requests)
         with tracer.span("serve.dispatch", cat="serve",
-                         implementation=plan.implementation,
-                         rank=rank, batch=padded,
-                         fill=len(requests)) as sp:
+                         implementation=impl_name, rank=rank,
+                         batch=padded, fill=fill) as sp:
+            attempts = 0
             while True:
-                buffers = []
+                allocator.replay_transient(sizes, total)
+                if injector is None:
+                    break
                 try:
-                    for tag, size in impl.memory_plan(config):
-                        if size > 0:
-                            buffers.append(self._allocator.alloc(size, tag=tag))
-                    if self._injector is not None:
-                        self._injector.check_launch(self.clock.now_s,
-                                                    plan.implementation, rank)
+                    injector.check_launch(clock.now_s, impl_name, rank)
                 except TransientKernelError as fault:
-                    for buf in buffers:
-                        self._allocator.free(buf)
-                    sp.event("fault.transient",
-                             implementation=plan.implementation,
+                    sp.event("fault.transient", implementation=impl_name,
                              attempt=attempts + 1,
                              retry_cost_s=fault.retry_cost_s)
-                    self._breaker.record_failure(plan.implementation,
-                                                 self.clock.now_s)
+                    self._breaker.record_failure(impl_name, clock.now_s)
                     # The fault is detected and replayed at the device's
                     # ECC scrub cost whether or not we retry.
-                    self.clock.advance(fault.retry_cost_s)
+                    clock.advance(fault.retry_cost_s)
                     attempts += 1
+                    res = self.config.resilience
                     if attempts >= res.max_attempts:
                         sp.annotate(outcome="retries_exhausted")
                         raise _RetriesExhausted() from fault
                     stats.retries += 1
                     sp.event("retry.backoff", attempt=attempts,
                              backoff_s=res.backoff_s(attempts))
-                    self.clock.advance(res.backoff_s(attempts))
-                    continue
-                except DeviceOOMError:
-                    for buf in buffers:
-                        self._allocator.free(buf)
-                    raise
-                break
-            start = self.clock.now_s
-            service = self._service_time(plan)
-            if self._injector is not None:
-                slowdown = self._injector.slowdown(start)
-                if slowdown != 1.0:
-                    sp.event("fault.straggler", slowdown=slowdown)
-                service *= slowdown
-            finish = self.clock.advance(service)
-            for buf in buffers:
-                self._allocator.free(buf)
-            if self._injector is not None:
-                self._breaker.record_success(plan.implementation)
-            if tracer.recording:
-                self._kernel_leaves(tracer, impl, config, start, finish)
-        stats.record_dispatch(requests, start, finish, padded,
-                              len(requests), plan.implementation)
-        if rank > 0:
-            stats.fallback_batches += 1
-            stats.fallback_completions += len(requests)
-
-    def _dispatch_fast(self, plan: RankedPlan, rank: int, config,
-                       padded: int, requests: List[Request],
-                       stats: ServingStats) -> None:
-        """The memoized dispatch lane.
-
-        Same simulated-time arithmetic, fault ladder, error semantics
-        and accounting as :meth:`_dispatch`, with two host-time-only
-        substitutions: the memory plan comes from the
-        :class:`~repro.core.evalcache.DispatchMemo` (keyed by shape,
-        batch, implementation, device and the plan-cache corruption
-        epoch) and is replayed through
-        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-        instead of allocating real buffers.  Only taken when nothing
-        can observe the difference: no span is being recorded and no
-        allocator observer is attached.
-        """
-        impl_name = plan.implementation
-        allocator = self._allocator
-        clock = self.clock
-        injector = self._injector
-        key = requests[0].key
-        sizes, total = self._memo.memory_plan(
-            (key, padded, impl_name, self._device_key,
-             self.plan_cache.corruptions),
-            resolve_implementation(impl_name), config)
-        if injector is None:
-            # No fault plan: replay can only raise OOM (handled by the
-            # caller) and nothing rewrites the service time.
-            allocator.replay_transient(sizes, total)
-            start = clock._now
-            finish = clock.advance(plan.time_s * self._forward_scale)
-        else:
-            res = self.config.resilience
-            attempts = 0
-            while True:
-                try:
-                    allocator.replay_transient(sizes, total)
-                    injector.check_launch(clock.now_s, impl_name, rank)
-                except TransientKernelError as fault:
-                    self._breaker.record_failure(impl_name, clock.now_s)
-                    clock.advance(fault.retry_cost_s)
-                    attempts += 1
-                    if attempts >= res.max_attempts:
-                        raise _RetriesExhausted() from fault
-                    stats.retries += 1
                     clock.advance(res.backoff_s(attempts))
                     continue
                 break
             start = clock.now_s
-            service = plan.time_s * self._forward_scale
-            service *= injector.slowdown(start)
+            service = self._service_time(plan)
+            if injector is not None:
+                slowdown = injector.slowdown(start)
+                if slowdown != 1.0:
+                    sp.event("fault.straggler", slowdown=slowdown)
+                service *= slowdown
             finish = clock.advance(service)
-            self._breaker.record_success(impl_name)
-        fill = len(requests)
+            if injector is not None:
+                self._breaker.record_success(impl_name)
+            if self._record_timeline:
+                in_use = allocator.in_use
+                self.memory_timeline += ((start, in_use + total),
+                                         (finish, in_use))
+            if tracer.recording:
+                self._kernel_leaves(tracer, impl, config, start, finish)
         stats.record_dispatch(requests, start, finish, padded, fill,
                               impl_name)
         if rank > 0:
@@ -503,13 +422,6 @@ class Server:
             config = self._config_cache[(key, padded)] = \
                 batched_config(key, padded)
         tracer = self.obs.tracer
-        # Pick the dispatch lane once per batch: the memoized fast lane
-        # whenever nothing can observe the difference (no span being
-        # recorded, no allocator observer), else the reference path.
-        dispatch = (self._dispatch_fast
-                    if (self._memo is not None and not tracer.recording
-                        and not self._allocator.observed)
-                    else self._dispatch)
         limit = self._fallback_limit
         for rank, plan in enumerate(plans[:limit]):
             if self._injector is not None and \
@@ -519,7 +431,7 @@ class Server:
                              implementation=plan.implementation, rank=rank)
                 continue
             try:
-                dispatch(plan, rank, config, padded, requests, stats)
+                self._dispatch(plan, rank, config, padded, requests, stats)
             except _RetriesExhausted:
                 continue            # substitute the next-ranked plan
             except MemoryPressureError:
@@ -577,9 +489,8 @@ class Server:
                            device=self._device_label)
             tel.add_probe("plan_cache", self.plan_cache.stats,
                           device=self._device_label)
-            if self._memo is not None:
-                tel.add_probe("dispatch_memo", self._memo.stats,
-                              device=self._device_label)
+            tel.add_probe("dispatch_memo", self._memo.stats,
+                          device=self._device_label)
             self.telemetry = tel
         self._breaker_base = (self._breaker.trips, self._breaker.skips)
         self._injector_base = (0, 0)
@@ -588,13 +499,22 @@ class Server:
                                    self._injector.entries_corrupted)
         return self
 
-    def admit(self, request: Request) -> bool:
-        """Offer one request to the session's admission queue."""
-        self.stats.offered += 1
-        admitted = self.queue.offer(request)
-        self.obs.tracer.event("serve.admit" if admitted else "serve.reject",
-                              rid=request.rid, model=request.model,
-                              layer=request.layer)
+    def admit(self, requests: Sequence[Request]) -> int:
+        """Offer requests to the session's admission queue, in order;
+        returns how many were admitted (the rest were refused as
+        ``queue_full``)."""
+        self.stats.count_offered(len(requests))
+        offer = self.queue.offer
+        tracer = self.obs.tracer
+        if not tracer.enabled:
+            return sum(map(offer, requests))
+        admitted = 0
+        for request in requests:
+            ok = offer(request)
+            tracer.event("serve.admit" if ok else "serve.reject",
+                         rid=request.rid, model=request.model,
+                         layer=request.layer)
+            admitted += ok
         return admitted
 
     def shed_expired(self) -> int:
@@ -617,30 +537,19 @@ class Server:
         if batch is None:
             return False
         tracer = self.obs.tracer
-        if not tracer.enabled:
-            # Span-free hot path: skips the attribute bundle the no-op
-            # span would discard anyway.  Identical accounting.
-            try:
-                self._execute(batch.requests, batch.key, self.stats,
-                              batch.batch)
-            except ReproError:
-                self.stats.unhandled_errors += 1
-                self.stats.record_shed("error", len(batch.requests))
-            return True
+        requests = batch.requests
         with tracer.span("serve.batch", cat="serve",
-                         model=batch.requests[0].model,
-                         layer=batch.requests[0].layer,
+                         model=requests[0].model, layer=requests[0].layer,
                          fill=batch.fill, batch=batch.batch):
             try:
-                self._execute(list(batch.requests), batch.key, self.stats,
-                              batch.batch)
+                self._execute(requests, batch.key, self.stats, batch.batch)
             except ReproError as exc:
                 # No recovery layer absorbed it: count the failure
                 # loudly instead of crashing the serving loop.
                 tracer.event("serve.unhandled_error",
                              error=type(exc).__name__)
                 self.stats.unhandled_errors += 1
-                self.stats.record_shed("error", len(batch.requests))
+                self.stats.record_shed("error", len(requests))
         return True
 
     def telemetry_poll(self, now_s: float) -> None:
@@ -685,28 +594,27 @@ class Server:
     # -- the one-server driver ------------------------------------------
 
     def run(self, trace: Sequence[Arrival]) -> StatsReport:
-        """Serve one arrival trace to completion; returns the report."""
+        """Serve one arrival trace to completion; returns the report.
+
+        The same :meth:`admit` / :meth:`shed_expired` / :meth:`pump`
+        sequence the cluster replica loop drives, with every arrival
+        due at one stop admitted in a single call.
+        """
         self.begin()
-        tracer = self.obs.tracer
         clock = self.clock
         queue = self.queue
-        stats = self.stats
         monitor = self._monitor
         timeout_s = self.config.timeout_s
+        admit, shed_expired, pump = self.admit, self.shed_expired, self.pump
         # Sorted list + cursor instead of a deque of popped arrivals:
-        # bulk admission walks a slice with no per-element pops.  The
-        # per-request admit() path (with its serve.admit/reject events)
-        # is only needed when a real tracer is attached.
+        # bulk admission walks a slice with no per-element pops.
         pending = sorted(trace, key=lambda a: (a.t_s, a.rid))
         n = len(pending)
         i = 0
-        traced_admits = tracer.enabled
-        offer = None if traced_admits else queue.offer
-        next_batch = self.batcher.next_batch
         with obs_session(self.obs), \
-                tracer.span("serve.run", cat="serve",
-                            device=self._device_name,
-                            arrivals=len(trace)):
+                self.obs.tracer.span("serve.run", cat="serve",
+                                     device=self._device_name,
+                                     arrivals=len(trace)):
             while i < n or queue._depth:
                 now = clock._now
                 if monitor is not None:
@@ -718,43 +626,15 @@ class Server:
                     self.telemetry_poll(now)
                 if i < n and pending[i].t_s <= now:
                     j = i
-                    if traced_admits:
-                        while j < n and pending[j].t_s <= now:
-                            a = pending[j]
-                            self.admit(Request(
-                                rid=a.rid, model=a.model, layer=a.layer,
-                                key=a.key, arrival_s=a.t_s,
-                                timeout_s=timeout_s))
-                            j += 1
-                        i = j
-                    else:
-                        while j < n and pending[j].t_s <= now:
-                            a = pending[j]
-                            offer(fast_request(a.rid, a.model, a.layer,
-                                               a.key, a.t_s, timeout_s))
-                            j += 1
-                        stats.count_offered(j - i)
-                        i = j
-                if traced_admits:
-                    self.shed_expired()
-                    if self.pump(drain=i >= n):
-                        continue
-                else:
-                    # Inlined shed + pump: the guard on the queue's lazy
-                    # deadline bound and the direct _execute call skip
-                    # two call frames per iteration; accounting is
-                    # identical to shed_expired()/pump() above.
-                    if now > queue._min_deadline:
-                        queue.shed_expired(now)
-                    batch = next_batch(queue, now, i >= n)
-                    if batch is not None:
-                        try:
-                            self._execute(batch.requests, batch.key,
-                                          stats, batch.batch)
-                        except ReproError:
-                            stats.unhandled_errors += 1
-                            stats.record_shed("error", len(batch.requests))
-                        continue
+                    while j < n and pending[j].t_s <= now:
+                        j += 1
+                    admit([fast_request(a.rid, a.model, a.layer, a.key,
+                                        a.t_s, timeout_s)
+                           for a in pending[i:j]])
+                    i = j
+                shed_expired()
+                if pump(drain=i >= n):
+                    continue
                 if i >= n and not queue._depth:
                     break
                 # Nothing releasable: advance to the next event — the next

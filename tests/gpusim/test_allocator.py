@@ -1,10 +1,10 @@
 """Tests for the device memory allocator."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AllocationError, DeviceOOMError
-from repro.gpusim.allocator import DeviceAllocator
+from repro.gpusim.allocator import ALLOC_GRANULARITY, DeviceAllocator
 from repro.gpusim.device import K40C
 
 
@@ -129,27 +129,46 @@ class TestInvariants:
             assert a.peak >= a.in_use
 
 
-class TestObserver:
-    """The alloc/free hook the serving scheduler listens on."""
+class TestReplayMatchesAllocFree:
+    """``replay_transient`` is the only allocator path serving dispatch
+    takes, so it must be indistinguishable from allocating every buffer
+    of the plan and freeing them all again."""
 
-    def test_observer_sees_allocs_and_frees(self, allocator):
-        events = []
-        allocator.set_observer(lambda ev, buf, in_use:
-                               events.append((ev, buf.tag, in_use)))
-        buf = allocator.alloc(1024, tag="x")
-        allocator.free(buf)
-        assert events == [("alloc", "x", 1024), ("free", "x", 0)]
+    CAPACITY = K40C.global_memory_bytes
 
-    def test_observer_not_called_on_failed_alloc(self, allocator):
-        events = []
-        allocator.set_observer(lambda *a: events.append(a))
-        with pytest.raises(DeviceOOMError):
-            allocator.alloc(K40C.global_memory_bytes + 1)
-        assert events == []
+    @staticmethod
+    def outcome(allocator, episode):
+        try:
+            episode()
+        except DeviceOOMError as err:
+            error = (type(err), vars(err))
+        else:
+            error = None
+        return allocator.peak, allocator.in_use, error
 
-    def test_observer_detach(self, allocator):
-        events = []
-        allocator.set_observer(lambda *a: events.append(a))
-        allocator.set_observer(None)
-        allocator.alloc(512)
-        assert events == []
+    # Sizes up to 8 GiB: two buffers can overflow the 12 GiB card, so
+    # episodes fit, hit pressure or hit OOM part-way through.
+    @settings(max_examples=300)
+    @given(sizes=st.lists(st.integers(1, 8 * 2**30), max_size=6),
+           baseline=st.integers(0, 4 * 2**30),
+           reserved=st.one_of(st.just(0), st.integers(1, 12 * 2**30)))
+    def test_same_peak_in_use_and_error(self, sizes, baseline, reserved):
+        real = DeviceAllocator(K40C, baseline=baseline)
+        fast = DeviceAllocator(K40C, baseline=baseline)
+        for allocator in (real, fast):
+            allocator.set_pressure(lambda: reserved)
+
+        def alloc_free():
+            buffers = []
+            try:
+                for size in sizes:
+                    buffers.append(real.alloc(size))
+            finally:
+                for buf in buffers:
+                    real.free(buf)
+
+        rounded = [-(-size // ALLOC_GRANULARITY) * ALLOC_GRANULARITY
+                   for size in sizes]
+        assert (self.outcome(fast, lambda: fast.replay_transient(
+                    rounded, sum(rounded)))
+                == self.outcome(real, alloc_free))

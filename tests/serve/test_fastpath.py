@@ -2,15 +2,22 @@
 histogram observation, allocation replay, and sampled tracing must all
 be invisible in the simulated results — same seed, same bytes."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.cluster import Cluster, ClusterConfig, HealthConfig
+from repro.core import evalcache
+from repro.gpusim import memo
 from repro.gpusim.allocator import DeviceAllocator
 from repro.gpusim.device import TITAN_X
 from repro.errors import DeviceOOMError
+from repro.faults import named_fleet_plan
 from repro.faults.plan import named_plan
+from repro.obs.export import chrome_trace, cluster_chrome_trace
 from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.timeseries import TelemetryConfig
 from repro.obs.tracer import SimTracer, TraceSampler
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
@@ -22,50 +29,164 @@ KEY = shape_key(MODEL_SHAPES["AlexNet"][1][1])
 KEY2 = shape_key(MODEL_SHAPES["AlexNet"][0][1])
 
 TRACE = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=4000.0, seed=7))
+FLEET_TRACE = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=6000.0,
+                                         seed=7))
+
+#: Trace sampling rates of the server matrix (0 = untraced).
+SAMPLES = (0, 1, 4)
+
+#: Same-seed digests (first 16 hex digits of the sha256 of the
+#: sorted-key JSON) recorded with the scheduler that still dispatched
+#: through a second lane allocating and freeing every buffer — the
+#: reference the memoized replay must reproduce.  Per (fault plan,
+#: max_batch): the report, then (registry snapshot, Chrome trace) at
+#: each of :data:`SAMPLES`.  Fault plans are scaled to the 1 s trace
+#: and every run starts from cold caches (see :func:`cold_caches`).
+SERVER_DIGESTS = {
+    ("none", 64): ("aff84741643a506a",
+                   ("0f13cb08212ade66", None),
+                   ("8f682a2577c5cb79", "341fc1d16327b91b"),
+                   ("b9f0b20b8139f93d", "5ad4be97ecf19364")),
+    ("none", 1): ("f00e51bb538ada84",
+                  ("ef37b546e0625ca8", None),
+                  ("4bf6d6e9cb6aca34", "ab7dcf9638d273ee"),
+                  ("b3f0ca52d73fdc42", "903673cc75fc1b86")),
+    ("straggler", 64): ("6eff4e6cc0becba4",
+                        ("91cf3a7ed5df7f6a", None),
+                        ("7b2bc966044f1d53", "f7cf20ea33c77ccd"),
+                        ("ebeb322110b1c418", "789a80bb77982853")),
+    ("straggler", 1): ("98c35c7185f47154",
+                       ("95745fa926144fcb", None),
+                       ("7ce57fedaef86917", "f91a7a546edd7f84"),
+                       ("65c072a7299ad363", "0697d94dabd4c491")),
+    ("transient-top", 64): ("a0b8af82053c406a",
+                            ("ae7dd420b3a48fef", None),
+                            ("14dadfd5c0610981", "b4818ab3b17c9431"),
+                            ("fba61396f5ab12b5", "2217c39bd940f3f8")),
+    ("transient-top", 1): ("2824c33c6425d8f7",
+                           ("039e88efc8f2fd03", None),
+                           ("400ebe94b8359fcc", "5b082fdce377465b"),
+                           ("fda2289a8796c1c5", "6674b4cfcd3a7924")),
+    ("memory-pressure", 64): ("a035c5911b221212",
+                              ("41d94f303a8fee1c", None),
+                              ("aca0f73fb8eb9cbd", "95076b2dba0ebf8b"),
+                              ("c6650350b990c5af", "de8d57aac6f10ed1")),
+    ("memory-pressure", 1): ("1a3770bd84f2a40e",
+                             ("b366b46db6a029a3", None),
+                             ("b925f5c0e910c016", "876ed6f3c228944f"),
+                             ("15e09bf7dae1d140", "898365bcf287bff1")),
+    ("cache-chaos", 64): ("3bb61a11e7209360",
+                          ("9aca56a626beaf5b", None),
+                          ("858a9b67ee12d5b5", "74d522477b63df65"),
+                          ("d92cc72f51540d5f", "65a2548ac76df582")),
+    ("cache-chaos", 1): ("4618119a4a241541",
+                         ("b7891952ea37a9d1", None),
+                         ("cd5fe6d56f1bea62", "f3fcdf94302b5517"),
+                         ("0e8c926b9fc4245d", "8571af480a960fb9")),
+    ("chaos", 64): ("20c0526f5b85db3d",
+                    ("be337f03f6d3eff3", None),
+                    ("2ae10b2db55ebf18", "3460300733f2e1e3"),
+                    ("320ef29ffd74022d", "f3bb96adfe3dfe59")),
+    ("chaos", 1): ("c8ce59f4545dd9ad",
+                   ("89abd752036d2ff1", None),
+                   ("ff0e928920e798b2", "9ba05b783827a9a6"),
+                   ("b11f951e3226815b", "d75a185c461e798f")),
+}
+
+#: Four-replica fleet-chaos run, per trace sample rate: (cluster
+#: report, merged Chrome trace).
+FLEET_DIGESTS = {
+    0: ("2298817f15df699a", None),
+    1: ("2298817f15df699a", "bd8579ae4736f511"),
+    10: ("2298817f15df699a", "257db4a1fc19b702"),
+}
 
 
-def report_bytes(dispatch_memo, fault_plan=None, max_batch=64,
-                 trace_sample=0):
+def cold_caches() -> None:
+    """Drop the process-wide gpusim memo and evaluation cache: their
+    hit/miss traffic lands in the run's registry, so its digest is only
+    reproducible from a cold start."""
+    memo.clear_all()
+    evalcache.reset_cache()
+
+
+def digest(doc) -> str:
+    blob = json.dumps(doc, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def report_bytes(fault_plan=None, max_batch=64, trace_sample=0):
     policy = (BatchPolicy() if max_batch > 1
               else BatchPolicy(max_batch=1, max_wait_s=0.0))
-    config = ServerConfig(policy=policy, dispatch_memo=dispatch_memo)
-    server = Server(config, fault_plan=fault_plan, fault_seed=11)
+    server = Server(ServerConfig(policy=policy), fault_plan=fault_plan,
+                    fault_seed=11)
     if trace_sample:
         server.enable_tracing(sample=trace_sample)
     report = server.run(TRACE)
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
+def server_digests(plan, max_batch):
+    """The :data:`SERVER_DIGESTS` row of one fresh run per sample."""
+    policy = (BatchPolicy() if max_batch > 1
+              else BatchPolicy(max_batch=1, max_wait_s=0.0))
+    fault = None if plan == "none" else named_plan(plan, duration_s=1.0)
+    reports, cells = set(), []
+    for sample in SAMPLES:
+        cold_caches()
+        server = Server(ServerConfig(policy=policy), fault_plan=fault,
+                        fault_seed=11)
+        tracer = server.enable_tracing(sample=sample) if sample else None
+        reports.add(digest(server.run(TRACE).to_dict()))
+        registry = server.obs.registry
+        cells.append((digest(registry.snapshot()),
+                      None if tracer is None
+                      else digest(chrome_trace(tracer, registry))))
+    # Tracing only observes the lane: one report across every rate.
+    assert len(reports) == 1
+    return (reports.pop(),) + tuple(cells)
+
+
 class TestMemoByteIdentity:
     def test_plain_run_identical(self):
-        assert report_bytes(True) == report_bytes(False)
+        assert server_digests("none", 64) == SERVER_DIGESTS[("none", 64)]
 
     def test_batch1_run_identical(self):
-        assert (report_bytes(True, max_batch=1)
-                == report_bytes(False, max_batch=1))
+        assert server_digests("none", 1) == SERVER_DIGESTS[("none", 1)]
 
     @pytest.mark.parametrize("plan", ["straggler", "transient-top",
                                       "memory-pressure", "cache-chaos",
                                       "chaos"])
     def test_fault_plans_identical(self, plan):
-        # The ISSUE's headline case: chaos runs must not observe the
-        # memo — the fault ladder replays byte-exactly.
-        assert (report_bytes(True, named_plan(plan))
-                == report_bytes(False, named_plan(plan)))
+        # Chaos runs must not observe the memo — the fault ladder
+        # replays byte-exactly, batched and at batch 1.
+        for max_batch in (64, 1):
+            assert (server_digests(plan, max_batch)
+                    == SERVER_DIGESTS[(plan, max_batch)])
+
+    @pytest.mark.parametrize("sample", sorted(FLEET_DIGESTS))
+    def test_fleet_chaos_identical(self, sample):
+        cold_caches()
+        cluster = Cluster(ClusterConfig(
+            replicas=4, policy="least-loaded",
+            health=HealthConfig(hedge_after_s=0.02),
+            fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=1.0,
+                                              replicas=4),
+            telemetry=TelemetryConfig(window_s=0.25)))
+        tracer = cluster.enable_tracing(sample=sample) if sample else None
+        report = digest(cluster.run(FLEET_TRACE).to_dict())
+        trace = None if tracer is None else digest(cluster_chrome_trace(
+            tracer, cluster.replica_tracers, cluster.obs.registry))
+        assert (report, trace) == FLEET_DIGESTS[sample]
 
     def test_memo_counts_hits(self):
-        server = Server(ServerConfig(dispatch_memo=True))
+        server = Server(ServerConfig())
         server.run(TRACE)
         stats = server.dispatch_memo_stats()
         assert stats["hits"] > 0
         assert stats["entries"] == stats["misses"]
         # One cold miss per distinct point, everything else a hit.
         assert stats["hit_rate"] > 0.5
-
-    def test_memo_off_reports_none(self):
-        server = Server(ServerConfig(dispatch_memo=False))
-        server.run(TRACE)
-        assert server.dispatch_memo_stats() is None
 
     def test_cache_corruption_rolls_memo_epoch(self):
         # The memo key embeds the plan-cache corruption counter; a
@@ -74,9 +195,9 @@ class TestMemoByteIdentity:
         # Long enough for the plan's corruption events to fire.
         trace = generate_trace(TrafficSpec(duration_s=3.0, rate_rps=4000.0,
                                            seed=7))
-        plain = Server(ServerConfig(dispatch_memo=True))
+        plain = Server(ServerConfig())
         plain.run(trace)
-        chaos = Server(ServerConfig(dispatch_memo=True),
+        chaos = Server(ServerConfig(),
                        fault_plan=named_plan("cache-chaos"), fault_seed=11)
         chaos.run(trace)
         assert chaos.plan_cache.corruptions > 0
@@ -215,7 +336,7 @@ class TestReplayTransient:
 
 class TestTraceSampler:
     def run_traced(self, sample):
-        server = Server(ServerConfig(dispatch_memo=True))
+        server = Server(ServerConfig())
         tracer = server.enable_tracing(sample=sample)
         report = server.run(TRACE)
         return tracer, json.dumps(report.to_dict(), sort_keys=True)
@@ -239,8 +360,8 @@ class TestTraceSampler:
 
     def test_untraced_report_matches_traced(self):
         # Tracing (full or sampled) must not perturb simulated results.
-        assert report_bytes(True) == self.run_traced(1)[1]
-        assert report_bytes(True) == report_bytes(True, trace_sample=4)
+        assert report_bytes() == self.run_traced(1)[1]
+        assert report_bytes() == report_bytes(trace_sample=4)
 
     def test_sample_validation(self):
         server = Server(ServerConfig())

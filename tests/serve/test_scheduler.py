@@ -147,13 +147,15 @@ class TestMemory:
 
     def test_memory_timeline_recording(self):
         server = Server(small_config(), record_timeline=True)
-        server.run(arrivals([0.0] * 8))
+        stats = server.run(arrivals([0.0] * 8))
         assert server.memory_timeline
         times = [t for t, _ in server.memory_timeline]
         assert times == sorted(times)
         # Allocations during a batch raise in_use above the baseline.
-        assert max(m for _, m in server.memory_timeline) > \
-            min(m for _, m in server.memory_timeline)
+        peak = max(m for _, m in server.memory_timeline)
+        assert peak > min(m for _, m in server.memory_timeline)
+        # The charged points reach exactly the reported (Fig. 5) peak.
+        assert peak == stats.peak_memory_mb * 2**20
 
     def test_peak_memory_reported(self):
         stats = Server(small_config()).run(arrivals([0.0] * 8))
