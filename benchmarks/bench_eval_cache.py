@@ -4,11 +4,11 @@ Measures ``all_runtime_sweeps`` — the five Fig. 3 panels, 546
 evaluation points — in three regimes:
 
 * **baseline** — the seed behavior: memoization off, evaluation cache
-  bypassed, strictly serial; every point re-derives the full kernel
-  plan → occupancy → roofline → metrics chain;
-* **cold** — fresh caches, 4 workers: the shared
-  :class:`~repro.core.evalcache.EvalCache` dedupes repeated points and
-  the memoized model layers share sub-results;
+  bypassed; every point re-derives the full kernel plan → occupancy →
+  roofline → metrics chain;
+* **cold** — fresh caches: points the sweeps revisit are hits in the
+  shared :class:`~repro.core.evalcache.EvalCache` and the memoized
+  model layers share sub-results;
 * **warm** — an immediate rerun against the populated cache.
 
 It also times the JSON disk round-trip (save, then a warm-start load
@@ -47,7 +47,7 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
+def run_benchmark(repeats: int = 5) -> dict:
     """Measure all regimes; returns the artifact payload."""
     from repro.core import evalcache
     from repro.core.runtime_comparison import all_runtime_sweeps
@@ -60,8 +60,8 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
     def render(sweeps) -> str:
         return "\n".join(sweeps[name].render() for name in sorted(sweeps))
 
-    # Baseline replicates the seed: no memo layer, no shared cache, no
-    # dedup, serial — each of the 546 points re-runs the whole model.
+    # Baseline replicates the seed: no memo layer, no shared cache —
+    # each of the 546 points re-runs the whole model.
     memo.set_enabled(False)
     fresh()
     baseline_render = render(all_runtime_sweeps(cache=evalcache.DISABLED))
@@ -71,15 +71,14 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
     memo.set_enabled(True)
 
     fresh()
-    cold_render = render(all_runtime_sweeps(workers=workers))
-    cold_s = _best_of(
-        lambda: (fresh(), all_runtime_sweeps(workers=workers)), repeats)
+    cold_render = render(all_runtime_sweeps())
+    cold_s = _best_of(lambda: (fresh(), all_runtime_sweeps()), repeats)
 
     # Leave the last cold run's caches in place: the warm regime.
     fresh()
-    all_runtime_sweeps(workers=workers)
-    warm_render = render(all_runtime_sweeps(workers=workers))
-    warm_s = _best_of(lambda: all_runtime_sweeps(workers=workers), repeats)
+    all_runtime_sweeps()
+    warm_render = render(all_runtime_sweeps())
+    warm_s = _best_of(all_runtime_sweeps, repeats)
 
     # Disk round-trip: persist the populated store, warm-start a fresh
     # cache from it, and rerun against the loaded records.
@@ -92,7 +91,7 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
     loaded = evalcache.EvalCache(path=str(store_path))
     load_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    disk_render = render(all_runtime_sweeps(workers=workers, cache=loaded))
+    disk_render = render(all_runtime_sweeps(cache=loaded))
     disk_warm_s = time.perf_counter() - t0
 
     identical = (baseline_render == cold_render == warm_render
@@ -101,7 +100,6 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
         "benchmark": "eval_cache",
         "workload": "all_runtime_sweeps",
         "points": 546,
-        "workers": workers,
         "repeats": repeats,
         "baseline_s": baseline_s,
         "cold_s": cold_s,
@@ -109,7 +107,7 @@ def run_benchmark(repeats: int = 5, workers: int = 4) -> dict:
         "cold_speedup": baseline_s / cold_s,
         "warm_speedup_vs_cold": cold_s / warm_s,
         "disk": {
-            "path": str(store_path),
+            "path": str(store_path.relative_to(RESULTS_DIR.parent.parent)),
             "entries": len(loaded),
             "save_s": save_s,
             "load_s": load_s,
@@ -136,8 +134,8 @@ def check_gates(payload: dict) -> list:
 def _render_text(payload: dict) -> str:
     lines = [
         "eval-cache speedup on all_runtime_sweeps "
-        f"({payload['points']} points, {payload['workers']} workers)",
-        f"  baseline (seed: no memo, no cache, serial)  "
+        f"({payload['points']} points)",
+        f"  baseline (seed: no memo, no cache)          "
         f"{payload['baseline_s'] * 1000:8.1f} ms",
         f"  cold (fresh caches)                         "
         f"{payload['cold_s'] * 1000:8.1f} ms   "
@@ -165,11 +163,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="2 timing repeats instead of 5")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
-    payload = run_benchmark(repeats=2 if args.quick else 5,
-                            workers=args.workers)
+    payload = run_benchmark(repeats=2 if args.quick else 5)
     print(_render_text(payload))
 
     RESULTS_DIR.mkdir(exist_ok=True)

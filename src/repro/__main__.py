@@ -146,7 +146,6 @@ def cmd_compare(args) -> int:
     import time
 
     from .core import evalcache
-    from .core.parallel import make_executor
     from .gpusim.device import K40C
     from .obs.context import NULL_OBS, Observability, obs_session
 
@@ -161,23 +160,22 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     impls = all_implementations()
     with obs_session(obs):
-        grid = make_executor(args.workers).map_grid(impls, [config], K40C,
-                                                    cache=cache)
+        records = [evalcache.evaluate(impl, config, K40C, cache=cache)
+                   for impl in impls]
     elapsed = time.perf_counter() - t0
     if args.trace:
         _write_trace(args.trace, obs.tracer, obs.registry,
                      command="compare", config=str(config))
     rows = []
-    for impl in impls:
-        record = grid[impl.name][0]
+    for record in records:
         if not record.supported:
-            rows.append([impl.paper_name, "-", "-"])
+            rows.append([record.paper_name, "-", "-"])
             continue
         mem = ("-" if record.peak_memory_bytes is None
                else f"{record.peak_memory_bytes / 2**20:.0f}")
-        rows.append([impl.paper_name, f"{record.time_s * 1000:.2f}", mem])
+        rows.append([record.paper_name, f"{record.time_s * 1000:.2f}", mem])
     if args.json:
-        records = [
+        results = [
             {"implementation": name,
              "time_ms": None if t == "-" else float(t),
              "memory_mb": None if m == "-" else float(m)}
@@ -185,9 +183,8 @@ def cmd_compare(args) -> int:
         ]
         store = evalcache.resolve_cache(cache)
         doc = {"config": str(config),
-               "results": records,
+               "results": results,
                "elapsed_s": elapsed,
-               "workers": args.workers or 1,
                "cache": None if store is None else store.stats()}
         _emit_metrics(args, obs.registry, embed=doc)
         print(json.dumps(doc, indent=2))
@@ -222,15 +219,13 @@ def cmd_export(args) -> int:
     cache = evalcache.DISABLED if args.no_cache else None
     os.makedirs(args.dir, exist_ok=True)
     for sweep in SWEEPS:
-        runtime_sweep_csv(runtime_sweep(sweep, workers=args.workers,
-                                        cache=cache),
+        runtime_sweep_csv(runtime_sweep(sweep, cache=cache),
                           os.path.join(args.dir, f"fig3_{sweep}.csv"))
-        memory_sweep_csv(memory_sweep(sweep, workers=args.workers,
-                                      cache=cache),
+        memory_sweep_csv(memory_sweep(sweep, cache=cache),
                          os.path.join(args.dir, f"fig5_{sweep}.csv"))
     breakdown_csv(hotspot_layer_analysis(),
                   os.path.join(args.dir, "fig2_breakdown.csv"))
-    metrics_csv(gpu_metric_profile(workers=args.workers, cache=cache),
+    metrics_csv(gpu_metric_profile(cache=cache),
                 os.path.join(args.dir, "fig6_metrics.csv"))
     transfer_csv(transfer_overhead_profile(),
                  os.path.join(args.dir, "fig7_transfers.csv"))
@@ -1031,8 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compare":
             p.add_argument("--json", action="store_true",
                            help="machine-readable output")
-            p.add_argument("--workers", type=int, default=None,
-                           help="parallel evaluation workers (default serial)")
             p.add_argument("--no-cache", action="store_true",
                            help="bypass the shared evaluation cache")
             _add_obs_args(p)
@@ -1044,8 +1037,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write figure data as CSV")
     p_export.add_argument("dir", help="output directory")
-    p_export.add_argument("--workers", type=int, default=None,
-                          help="parallel evaluation workers (default serial)")
     p_export.add_argument("--no-cache", action="store_true",
                           help="bypass the shared evaluation cache")
     p_export.set_defaults(fn=cmd_export)

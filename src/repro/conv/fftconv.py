@@ -68,8 +68,8 @@ def transform_size(input_size: int, kernel_size: int,
 # ``s=`` padding path.
 #
 # The cache is process-wide; the lock only guards the dict (the
-# numeric conv layer runs single-threaded — the parallel sweep
-# executor fans out the *analytic* model, which never calls this).
+# numeric conv layer runs single-threaded, and the analytic model never
+# calls this).
 # ---------------------------------------------------------------------------
 
 _WS_LOCK = threading.Lock()

@@ -23,7 +23,6 @@ registry DESIGN.md indexes).
 """
 
 from .evalcache import EvalCache, EvalRecord, evaluate, get_cache
-from .parallel import SweepExecutor
 from .hotspot_layers import hotspot_layer_analysis, ModelBreakdown
 from .runtime_comparison import runtime_sweep, RuntimePoint, SweepResult
 from .hotspot_kernels import hotspot_kernel_analysis, KernelBreakdown
@@ -41,16 +40,14 @@ from .batch_advisor import batch_capacities, max_batch
 from .full_report import generate_report, write_report
 from .regression import capture_headlines, check_against
 from .validation import audit_all, audit_implementation
-from . import evalcache, export, parallel, report
+from . import evalcache, export, report
 
 __all__ = [
     "EvalCache",
     "EvalRecord",
     "evaluate",
     "get_cache",
-    "SweepExecutor",
     "evalcache",
-    "parallel",
     "hotspot_layer_analysis",
     "ModelBreakdown",
     "runtime_sweep",

@@ -15,16 +15,14 @@ addressed by :func:`cache_key` over the implementation name, every
 :class:`~repro.config.ConvConfig` field and the device name — from the
 process-wide :class:`EvalCache` (hit) or by running the model once
 (miss).  Records are plain frozen values: JSON-serializable for the
-optional on-disk store under ``benchmarks/results/``, picklable for
-the :mod:`repro.core.parallel` process pool, and rich enough to answer
-every downstream question (runtime, peak memory/OOM, per-kernel
-timings, runtime-weighted Fig. 6 metric summaries) without touching
-the model again.
+optional on-disk store under ``benchmarks/results/``, and rich enough
+to answer every downstream question (runtime, peak memory/OOM,
+per-kernel timings, runtime-weighted Fig. 6 metric summaries) without
+touching the model again.
 
 Thread safety: the cache takes a lock around its dictionary, and the
 underlying model layers are either pure or memoized with thread-safe
-``lru_cache``, so :class:`repro.core.parallel.SweepExecutor` workers
-may evaluate concurrently.
+``lru_cache``, so threads may evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -322,20 +320,6 @@ class EvalCache:
                             record.device)
         with self._lock:
             self._store[key] = record
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, impl: ConvImplementation, config: ConvConfig,
-                 device: DeviceSpec = K40C) -> EvalRecord:
-        """One evaluation point: cache hit or a single model run."""
-        key = cache_key(impl.name, config, device)
-        record = self.get(key)
-        if record is not None:
-            return record
-        record = compute_record(impl, config, device)
-        with self._lock:
-            self._store[key] = record
-        return record
 
     # -- disk store --------------------------------------------------------
 

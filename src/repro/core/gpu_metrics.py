@@ -18,8 +18,8 @@ from ..frameworks.calibration import TABLE2_RESOURCES
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.metrics import MetricSummary
+from . import evalcache
 from .evalcache import CacheArg
-from .parallel import make_executor
 from .report import table
 
 
@@ -41,7 +41,6 @@ def gpu_metric_profile(configs: Optional[Dict[str, ConvConfig]] = None,
                        implementations: Optional[Sequence[ConvImplementation]] = None,
                        top_n: int = 5,
                        device: DeviceSpec = K40C,
-                       workers: Optional[int] = None,
                        cache: CacheArg = None) -> List[MetricRow]:
     """Reproduce Fig. 6 over the Table-I configurations.
 
@@ -50,14 +49,10 @@ def gpu_metric_profile(configs: Optional[Dict[str, ConvConfig]] = None,
     """
     configs = configs or TABLE1_CONFIGS
     impls = list(implementations) if implementations else all_implementations()
-    points = [(impl, config, device)
-              for config in configs.values() for impl in impls]
-    records = make_executor(workers).map_records(points, cache=cache)
     rows: List[MetricRow] = []
-    it = iter(records)
     for cname, config in configs.items():
         for impl in impls:
-            record = next(it)
+            record = evalcache.evaluate(impl, config, device, cache=cache)
             if not record.supported:
                 continue
             rows.append(MetricRow(

@@ -17,8 +17,8 @@ from ..config import SWEEPS, ConvConfig, sweep_configs
 from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
+from . import evalcache
 from .evalcache import CacheArg
-from .parallel import make_executor
 from .report import series
 from .runtime_comparison import _X_OF
 
@@ -56,7 +56,6 @@ class MemorySweepResult:
 def memory_sweep(sweep: str,
                  implementations: Optional[Sequence[ConvImplementation]] = None,
                  device: DeviceSpec = K40C,
-                 workers: Optional[int] = None,
                  cache: CacheArg = None) -> MemorySweepResult:
     """Run one of the five Fig. 5 sweeps.
 
@@ -69,19 +68,19 @@ def memory_sweep(sweep: str,
     impls = list(implementations) if implementations else all_implementations()
     configs = sweep_configs(sweep)
     xs = [_X_OF[sweep](c) for c in configs]
-    grid = make_executor(workers).map_grid(impls, configs, device, cache=cache)
-    peaks = {impl.paper_name: [r.peak_memory_bytes for r in grid[impl.name]]
-             for impl in impls}
-    ooms = {impl.paper_name: [r.oom for r in grid[impl.name]]
-            for impl in impls}
+    records = {impl.paper_name: [evalcache.evaluate(impl, cfg, device,
+                                                    cache=cache)
+                                 for cfg in configs]
+               for impl in impls}
+    peaks = {name: [r.peak_memory_bytes for r in col]
+             for name, col in records.items()}
+    ooms = {name: [r.oom for r in col] for name, col in records.items()}
     return MemorySweepResult(sweep=sweep, xs=xs, configs=configs,
                              peaks=peaks, ooms=ooms)
 
 
 def all_memory_sweeps(device: DeviceSpec = K40C,
-                      workers: Optional[int] = None,
                       cache: CacheArg = None) -> Dict[str, MemorySweepResult]:
     """All five sweeps of Fig. 5."""
-    return {name: memory_sweep(name, device=device, workers=workers,
-                               cache=cache)
+    return {name: memory_sweep(name, device=device, cache=cache)
             for name in SWEEPS}

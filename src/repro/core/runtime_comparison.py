@@ -11,11 +11,9 @@ Unsupported configurations record ``None`` — these are the paper's
 shape limitations (cuda-convnet2 off its multiples grid, FFT
 implementations at stride > 1).
 
-Evaluation routes through the shared analytic-evaluation cache
-(:mod:`repro.core.evalcache`), so points revisited by the memory and
-metric pipelines — or by a previous run against the same on-disk
-store — cost a lookup, and ``workers=N`` fans independent points out
-through :class:`repro.core.parallel.SweepExecutor`.
+Every point goes through :func:`repro.core.evalcache.evaluate`, so
+points revisited by another sweep, by the memory and metric pipelines
+or by a previous run against the same on-disk store cost a lookup.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from ..config import SWEEPS, ConvConfig, sweep_configs
 from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
+from . import evalcache
 from .evalcache import CacheArg
-from .parallel import make_executor
 from .report import series
 
 
@@ -110,52 +108,26 @@ _X_OF = {
 def runtime_sweep(sweep: str,
                   implementations: Optional[Sequence[ConvImplementation]] = None,
                   device: DeviceSpec = K40C,
-                  workers: Optional[int] = None,
                   cache: CacheArg = None) -> SweepResult:
     """Run one of the five Fig. 3 sweeps over all implementations.
 
-    ``workers`` widens the point fan-out (None/1 = serial); ``cache``
-    selects the evaluation cache (None = the shared process-wide
-    store, ``evalcache.DISABLED`` = always recompute).
+    ``cache`` selects the evaluation cache (None = the shared
+    process-wide store, ``evalcache.DISABLED`` = always recompute).
     """
     if sweep not in SWEEPS:
         raise KeyError(f"unknown sweep {sweep!r}; options: {sorted(SWEEPS)}")
     impls = list(implementations) if implementations else all_implementations()
     configs = sweep_configs(sweep)
     xs = [_X_OF[sweep](c) for c in configs]
-    grid = make_executor(workers).map_grid(impls, configs, device, cache=cache)
-    times = {impl.paper_name: [r.time_s for r in grid[impl.name]]
+    times = {impl.paper_name: [evalcache.evaluate(impl, cfg, device,
+                                                  cache=cache).time_s
+                               for cfg in configs]
              for impl in impls}
     return SweepResult(sweep=sweep, xs=xs, configs=configs, times=times)
 
 
 def all_runtime_sweeps(device: DeviceSpec = K40C,
-                       workers: Optional[int] = None,
                        cache: CacheArg = None) -> Dict[str, SweepResult]:
-    """All five sweeps of Fig. 3.
-
-    The 546 points of all five sweeps go to the executor as one batch,
-    so cross-sweep duplicates (every sweep passes through the base
-    configuration) are computed once and a pool sees the whole fan-out
-    at full width.
-    """
-    impls = all_implementations()
-    executor = make_executor(workers)
-    sweeps = {name: sweep_configs(name) for name in SWEEPS}
-    points = [(impl, cfg, device)
-              for configs in sweeps.values()
-              for impl in impls
-              for cfg in configs]
-    flat = executor.map_records(points, cache=cache)
-    out: Dict[str, SweepResult] = {}
-    pos = 0
-    for name, configs in sweeps.items():
-        n = len(configs)
-        times: Dict[str, List[Optional[float]]] = {}
-        for impl in impls:
-            times[impl.paper_name] = [r.time_s for r in flat[pos:pos + n]]
-            pos += n
-        out[name] = SweepResult(sweep=name,
-                                xs=[_X_OF[name](c) for c in configs],
-                                configs=configs, times=times)
-    return out
+    """All five sweeps of Fig. 3."""
+    return {name: runtime_sweep(name, device=device, cache=cache)
+            for name in SWEEPS}

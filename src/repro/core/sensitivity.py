@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..config import BASE_CONFIG, ConvConfig, sweep_configs
 from ..frameworks.registry import all_implementations, get_implementation
-from ..gpusim.device import DEVICES, DeviceSpec, K40C
+from ..gpusim.device import K20X, K40C, M40, TITAN_X, DeviceSpec
 from .report import table
 
 
@@ -69,8 +69,13 @@ def headlines(device: DeviceSpec) -> DeviceHeadlines:
 
 def device_comparison(devices: Optional[Sequence[DeviceSpec]] = None
                       ) -> List[DeviceHeadlines]:
-    """Headlines across the device zoo."""
-    devices = list(devices) if devices else list(DEVICES.values())
+    """Headlines across the device zoo.
+
+    Defaults to the four hand-built specs, not ``DEVICES``: loading the
+    device-profile registry adds entries to that dict, and the table
+    must not depend on what ran earlier in the process.
+    """
+    devices = list(devices) if devices else [K40C, K20X, TITAN_X, M40]
     return [headlines(d) for d in devices]
 
 

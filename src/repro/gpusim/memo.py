@@ -16,7 +16,7 @@ and cleared globally:
 * :func:`stats` — per-function ``hits/misses/size`` counters.
 
 ``functools.lru_cache`` is thread-safe, so memoized functions may be
-called concurrently from the :mod:`repro.core.parallel` executor.
+called concurrently from several threads.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Observability context: one tracer + one registry, propagated.
 
 Cross-layer tracing needs the advisor, the evaluation cache, the
-parallel executor, the profiler and the fault plane to find the
-*current run's* tracer without threading it through every signature.
+profiler and the fault plane to find the *current run's* tracer
+without threading it through every signature.
 Since simulated runs are single-threaded by construction (one virtual
 clock), propagation is a module-level current-context slot:
 

@@ -39,7 +39,6 @@ _ROWS: Dict[str, Tuple[int, str, int, str]] = {
     "serve": (1, "serve", 1, "scheduler"),
     "advisor": (1, "serve", 1, "scheduler"),
     "evalcache": (1, "serve", 1, "scheduler"),
-    "parallel": (1, "serve", 1, "scheduler"),
     "faults": (1, "serve", 1, "scheduler"),
     "gpu": (2, "gpusim", 1, "compute"),
     "memcpy": (2, "gpusim", 2, "copy engine"),

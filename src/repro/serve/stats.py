@@ -352,57 +352,13 @@ class ServingStats:
 
     # -- recording ---------------------------------------------------------
 
-    def record_batch(self, padded: int, fill: int, implementation: str) -> None:
-        by_size = self._batch_counters.get(padded)
-        if by_size is None:
-            by_size = self._batch_counters[padded] = self.registry.counter(
-                "serve_batches_total", size=padded)
-        by_size.inc()
-        by_impl = self._impl_counters.get(implementation)
-        if by_impl is None:
-            by_impl = self._impl_counters[implementation] = \
-                self.registry.counter("serve_dispatched_requests_total",
-                                      implementation=implementation)
-        by_impl.inc(fill)
-        fill_hist = self._fill_hist
-        if fill_hist is None:
-            fill_hist = self._fill_hist = self._histogram("serve_batch_fill")
-        fill_hist.observe(fill)
-        self.batch_fills.append(fill)
-
-    def record_completions(self, completions: List[Completion]) -> None:
-        self.completions.extend(completions)
-        self._counter("serve_requests_completed_total").inc(len(completions))
-        latency_hist = self._latency_hist
-        if latency_hist is None:
-            latency_hist = self._latency_hist = \
-                self._histogram("serve_latency_seconds")
-            self._wait_hist = self._histogram("serve_queue_wait_seconds")
-        # One walk computes both series; finalize() reuses the latency
-        # observations instead of re-deriving them from the completions.
-        if len(completions) == 1:
-            c = completions[0]
-            arrival = c.request.arrival_s
-            latency_hist.observe(c.finish_s - arrival)
-            self._wait_hist.observe(c.start_s - arrival)
-            return
-        latencies = []
-        waits = []
-        for c in completions:
-            arrival = c.request.arrival_s
-            latencies.append(c.finish_s - arrival)
-            waits.append(c.start_s - arrival)
-        latency_hist.observe_many(latencies)
-        self._wait_hist.observe_many(waits)
-
     def record_dispatch(self, requests, start_s: float, finish_s: float,
                         padded: int, fill: int,
                         implementation: str) -> None:
-        """Fused :meth:`record_batch` + :meth:`record_completions` for
-        the dispatch paths: one walk over the batch builds the
-        :class:`Completion` objects and both latency series, with
-        identical registry traffic (same metrics, same observation
-        order) to calling the two-step API."""
+        """Record one released batch: its size and implementation
+        counters, its fill, and one :class:`Completion` per request.
+        One walk over the batch builds the completions and both
+        latency series."""
         by_size = self._batch_counters.get(padded)
         if by_size is None:
             by_size = self._batch_counters[padded] = self.registry.counter(
@@ -465,7 +421,7 @@ class ServingStats:
 
     def finalize(self, duration_s: float, plan_cache_stats: Dict[str, float],
                  peak_memory_bytes: int) -> StatsReport:
-        # record_completions() already computed every latency once;
+        # record_dispatch() already computed every latency once;
         # sort that stream instead of walking the completions again.
         latencies = (sorted(self._histogram("serve_latency_seconds")
                             .observations)

@@ -10,9 +10,10 @@ from repro.core import evalcache
 from repro.core.evalcache import (EvalCache, EvalRecord, cache_key,
                                   cacheable, compute_record, config_key,
                                   evaluate)
-from repro.core.parallel import SweepExecutor
-from repro.frameworks.registry import (resolve_implementation,
-                                       shared_implementations)
+from repro.core.gpu_metrics import gpu_metric_profile
+from repro.core.memory_comparison import memory_sweep
+from repro.core.runtime_comparison import all_runtime_sweeps, runtime_sweep
+from repro.frameworks.registry import resolve_implementation
 from repro.gpusim.device import DEVICES, K40C, DeviceSpec
 
 SMALL = ConvConfig(batch=16, input_size=32, filters=16, kernel_size=3,
@@ -60,8 +61,8 @@ class TestKeys:
 class TestCounters:
     def test_miss_then_hit(self, cudnn):
         cache = EvalCache()
-        first = cache.evaluate(cudnn, SMALL)
-        second = cache.evaluate(cudnn, SMALL)
+        first = evaluate(cudnn, SMALL, cache=cache)
+        second = evaluate(cudnn, SMALL, cache=cache)
         assert first is second
         assert cache.misses == 1 and cache.hits == 1
         assert len(cache) == 1
@@ -69,7 +70,7 @@ class TestCounters:
 
     def test_stats_shape(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
         assert cache.stats() == {"entries": 1, "hits": 0, "misses": 1,
                                  "hit_rate": 0.0}
 
@@ -81,15 +82,15 @@ class TestCounters:
 
     def test_clear_resets_everything(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
+        evaluate(cudnn, SMALL, cache=cache)
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 
     def test_distinct_configs_are_distinct_entries(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL.scaled(batch=32))
+        evaluate(cudnn, SMALL, cache=cache)
+        evaluate(cudnn, SMALL.scaled(batch=32), cache=cache)
         assert len(cache) == 2 and cache.misses == 2
 
 
@@ -121,9 +122,10 @@ class TestRecords:
 class TestDiskRoundTrip:
     def _populated(self, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
-        cache.evaluate(cudnn, SMALL.scaled(kernel_size=5))
-        cache.evaluate(resolve_implementation("fbfft"), SMALL.scaled(stride=2))
+        evaluate(cudnn, SMALL, cache=cache)
+        evaluate(cudnn, SMALL.scaled(kernel_size=5), cache=cache)
+        evaluate(resolve_implementation("fbfft"), SMALL.scaled(stride=2),
+                 cache=cache)
         return cache
 
     def test_round_trip_preserves_records(self, tmp_path, cudnn):
@@ -152,7 +154,7 @@ class TestDiskRoundTrip:
         path = str(tmp_path / "store.json")
         cache.save(path)
         warm = EvalCache(path=path)
-        warm.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=warm)
         assert warm.hits == 1 and warm.misses == 0
 
     def test_version_mismatch_loads_nothing(self, tmp_path, cudnn):
@@ -212,7 +214,7 @@ class TestThreadSafety:
         results = [None] * len(configs)
 
         def worker(i):
-            results[i] = cache.evaluate(cudnn, configs[i])
+            results[i] = evaluate(cudnn, configs[i], cache=cache)
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(len(configs))]
@@ -222,23 +224,36 @@ class TestThreadSafety:
             t.join()
         assert len(cache) == 4
         for cfg, record in zip(configs, results):
-            assert record.to_dict() == cache.evaluate(cudnn, cfg).to_dict()
+            again = evaluate(cudnn, cfg, cache=cache)
+            assert record.to_dict() == again.to_dict()
 
-    def test_parallel_executor_shares_one_store(self):
+
+class TestSweeps:
+    """The figure pipelines evaluate point by point through
+    :func:`evaluate`, so the cache changes no figure."""
+
+    def test_runtime_sweep_same_with_and_without_cache(self):
+        assert (runtime_sweep("batch", cache=EvalCache()).times
+                == runtime_sweep("batch", cache=evalcache.DISABLED).times)
+
+    def test_memory_sweep_same_with_and_without_cache(self):
+        cached = memory_sweep("batch", cache=EvalCache())
+        uncached = memory_sweep("batch", cache=evalcache.DISABLED)
+        assert cached.peaks == uncached.peaks
+        assert cached.ooms == uncached.ooms
+
+    def test_metric_profile_same_with_and_without_cache(self):
+        assert (gpu_metric_profile(cache=EvalCache())
+                == gpu_metric_profile(cache=evalcache.DISABLED))
+
+    def test_revisited_points_compute_once(self):
+        """Every Fig. 3 sweep passes through the base configuration;
+        each revisit is a hit, not a second model run."""
         cache = EvalCache()
-        impls = shared_implementations()
-        configs = [SMALL.scaled(batch=16 * (1 + i)) for i in range(3)]
-        executor = SweepExecutor(workers=4, kind="thread")
-        grid = executor.map_grid(impls, configs, K40C, cache=cache)
-        expected = len(impls) * len(configs)
-        assert len(cache) == expected
-        assert cache.misses == expected
-        # a rerun is all hits, no recomputation
-        again = executor.map_grid(impls, configs, K40C, cache=cache)
-        assert cache.misses == expected
-        for name in grid:
-            assert [r.time_s for r in again[name]] == \
-                   [r.time_s for r in grid[name]]
+        sweeps = all_runtime_sweeps(cache=cache)
+        points = sum(len(r.configs) * len(r.times) for r in sweeps.values())
+        assert cache.misses == len(cache)
+        assert cache.hits == points - len(cache) > 0
 
 
 class TestSharedDefault:
@@ -262,7 +277,7 @@ class TestQuarantine:
 
     def _saved(self, tmp_path, cudnn):
         cache = EvalCache()
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
         path = str(tmp_path / "store.json")
         cache.save(path)
         return path
@@ -280,7 +295,7 @@ class TestQuarantine:
         assert not os.path.exists(path)
         assert os.path.exists(path + ".bad")
         # The store is usable (and saveable) after the warm start.
-        fresh.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=fresh)
         fresh.save(path)
 
     def test_garbage_json_quarantines(self, tmp_path, cudnn):
@@ -320,5 +335,5 @@ class TestQuarantine:
             fh.write("{")
         with pytest.warns(UserWarning):
             cache = EvalCache(path=path)
-        cache.evaluate(cudnn, SMALL)
+        evaluate(cudnn, SMALL, cache=cache)
         assert cache.misses == 1

@@ -47,6 +47,15 @@ class TestHeadlines:
         out = render_device_comparison(rows)
         assert "K40c" in out and "crossover" in out
 
+    def test_default_rows_ignore_the_profile_registry(self):
+        """Loading the registry publishes extra profiles into DEVICES;
+        the default table must still be the four hand-built specs."""
+        from repro.devices import default_registry
+
+        default_registry()
+        assert [r.device for r in device_comparison()] == \
+            [d.name for d in (K40C, K20X, TITAN_X, M40)]
+
 
 class TestPerturbation:
     def test_more_bandwidth_earlier_crossover(self):

@@ -4,17 +4,15 @@ import json
 
 import pytest
 
-from repro.serve.request import Completion, Request
+from repro.serve.request import Request
 from repro.serve.stats import ServingStats, percentile
 
 KEY = (27, 256, 5, 1, 96, 2)
 
 
-def completion(rid, arrival, start, finish, batch=4, fill=3, impl="cuDNN"):
-    req = Request(rid=rid, model="m", layer="l", key=KEY,
-                  arrival_s=arrival, timeout_s=1.0)
-    return Completion(request=req, start_s=start, finish_s=finish,
-                      batch=batch, fill=fill, implementation=impl)
+def request(rid, arrival):
+    return Request(rid=rid, model="m", layer="l", key=KEY,
+                   arrival_s=arrival, timeout_s=1.0)
 
 
 class TestPercentile:
@@ -42,12 +40,11 @@ class TestReport:
     def make_report(self):
         stats = ServingStats()
         stats.offered = 5
-        stats.record_batch(4, 3, "cuDNN")
-        stats.record_completions([
-            completion(0, 0.0, 0.001, 0.002),
-            completion(1, 0.0, 0.001, 0.003),
-            completion(2, 0.001, 0.001, 0.004),
-        ])
+        # One batch of three padded to four: latencies 4, 4 and 3 ms.
+        stats.record_dispatch([request(0, 0.0), request(1, 0.0),
+                               request(2, 0.001)],
+                              start_s=0.001, finish_s=0.004, padded=4,
+                              fill=3, implementation="cuDNN")
         cache_stats = {"capacity": 8, "entries": 2, "hits": 9, "misses": 1,
                        "evictions": 0, "hit_rate": 0.9}
         return stats.finalize(duration_s=2.0, plan_cache_stats=cache_stats,
@@ -62,7 +59,7 @@ class TestReport:
 
     def test_latency_is_arrival_to_finish(self):
         rep = self.make_report()
-        assert rep.latency_p50_ms == pytest.approx(3.0)
+        assert rep.latency_p50_ms == pytest.approx(4.0)
 
     def test_batch_accounting(self):
         rep = self.make_report()
@@ -92,7 +89,7 @@ class TestReport:
         d = self.make_report().to_dict()
         restored = json.loads(json.dumps(d))
         assert restored["completed"] == 3
-        assert restored["latency_ms"]["p50"] == pytest.approx(3.0)
+        assert restored["latency_ms"]["p50"] == pytest.approx(4.0)
         assert restored["plan_cache"]["hit_rate"] == pytest.approx(0.9)
 
     def test_empty_run_report(self):

@@ -256,9 +256,11 @@ class TestObservabilityFlags:
         data = json.loads(capsys.readouterr().out)
         assert "gpusim_kernel_launches_total" in str(data["metrics"]) or \
             data["cache"]["hits"] > 0   # warm-cache runs launch nothing
+        assert "workers" not in data
         doc = json.loads(path.read_text())
-        assert any(e.get("name") == "parallel.map"
-                   for e in doc["traceEvents"])
+        spans = [e for e in doc["traceEvents"]
+                 if e.get("name") == "evalcache.evaluate"]
+        assert len(spans) == 7   # one per implementation
 
 
 class TestChaosCommand:
