@@ -15,9 +15,8 @@ import numpy as np
 from ..config import ConvConfig
 from ..conv import unrolled
 from ..errors import ShapeError
-from ..rng import make_rng
 from ..tensor.shapes import conv_output_size
-from .module import Layer, Parameter, check_nchw
+from .module import Layer, Parameter, check_nchw, he_normal
 
 # Lazy import of frameworks to keep nn importable standalone.
 _STRATEGIES = {"direct", "unrolled", "fft"}
@@ -51,6 +50,10 @@ class Conv2d(Layer):
         ...) / instance from :mod:`repro.frameworks`.
     rng:
         Seed or generator for weight initialisation (He et al. scaling).
+        A seed or ``None`` defers the draw until the weight is first
+        read, so building a model only to walk its shapes allocates no
+        weights; the array is the same as an immediate draw.  A
+        ``Generator`` is drawn from here, in construction order.
     """
 
     layer_type = "Conv"
@@ -79,13 +82,11 @@ class Conv2d(Layer):
         self.groups = groups
         self.backend = _resolve_backend(backend)
 
-        gen = make_rng(rng)
-        fan_in = (in_channels // groups) * kernel_size * kernel_size
-        scale = np.sqrt(2.0 / fan_in)
-        self.weight = Parameter(
-            gen.standard_normal((out_channels, in_channels // groups,
-                                 kernel_size, kernel_size)) * scale,
-            name=f"{self.name}.weight")
+        self.weight = he_normal(
+            rng, (out_channels, in_channels // groups, kernel_size,
+                  kernel_size),
+            (in_channels // groups) * kernel_size * kernel_size,
+            f"{self.name}.weight")
         self.bias = Parameter(np.zeros(out_channels),
                               name=f"{self.name}.bias") if bias else None
         self._x: Optional[np.ndarray] = None

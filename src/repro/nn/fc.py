@@ -7,13 +7,17 @@ from typing import Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..rng import make_rng
-from .module import Layer, Parameter
+from .module import Layer, Parameter, he_normal
 
 
 class Linear(Layer):
     """Affine map ``y = x @ W.T + b`` on 2-D ``(batch, features)``
-    inputs — the FC layers of Fig. 2's breakdown."""
+    inputs — the FC layers of Fig. 2's breakdown.
+
+    ``rng`` seeds the He-scaled weight as in :class:`~repro.nn.Conv2d`:
+    a seed or ``None`` defers the draw to the weight's first read, a
+    ``Generator`` is drawn from here, in construction order.
+    """
 
     layer_type = "FC"
 
@@ -24,11 +28,8 @@ class Linear(Layer):
             raise ShapeError("features must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        gen = make_rng(rng)
-        scale = np.sqrt(2.0 / in_features)
-        self.weight = Parameter(
-            gen.standard_normal((out_features, in_features)) * scale,
-            name=f"{self.name}.weight")
+        self.weight = he_normal(rng, (out_features, in_features),
+                                in_features, f"{self.name}.weight")
         self.bias = Parameter(np.zeros(out_features),
                               name=f"{self.name}.bias") if bias else None
 

@@ -6,6 +6,8 @@ architecture the paper uses to introduce CNNs (its Fig. 1).
 
 Every model is a real trainable network built from :mod:`repro.nn`
 layers; :func:`model_registry` maps the paper's names to constructors.
+Weights and gradients are allocated on first use, so building a model
+to walk its shapes (Fig. 2, summaries) costs no weight memory.
 """
 
 from .lenet5 import lenet5

@@ -160,15 +160,7 @@ class Graph(Layer):
                 values[name] = node.layer.forward(ins)
             else:
                 values[name] = node.layer.forward(ins[0])
-        self._consumers = self._build_consumers()
         return values[self.output_node]
-
-    def _build_consumers(self) -> Dict[str, List[Tuple[str, int]]]:
-        consumers: Dict[str, List[Tuple[str, int]]] = {}
-        for name in self._order:
-            for slot, src in enumerate(self._nodes[name].inputs):
-                consumers.setdefault(src, []).append((name, slot))
-        return consumers
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         grads: Dict[str, np.ndarray] = {self.output_node: dy}

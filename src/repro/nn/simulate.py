@@ -38,6 +38,8 @@ from ..frameworks._plans import gemm_spec, pointwise_spec
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.profiler import Profiler
 from ..obs.context import get_obs
+from .add import Add
+from .batchnorm import BatchNorm2d
 from .concat import Concat
 from .conv_layer import Conv2d
 from .dropout import Dropout
@@ -70,7 +72,7 @@ class LayerCost:
 
 def _elems(shape) -> int:
     n = 1
-    for d in shape[1:] if False else shape:
+    for d in shape:
         n *= d
     return n
 
@@ -133,12 +135,12 @@ def layer_time_split(layer: Layer, in_shape, out_shape,
     elif isinstance(layer, Concat):
         _streaming_time(fwd, f"{layer.name}_fwd", 2 * out_bytes)
         _streaming_time(bwd, f"{layer.name}_bwd", 2 * out_bytes)
-    elif type(layer).__name__ == "BatchNorm2d":
+    elif isinstance(layer, BatchNorm2d):
         # Two statistics/normalise sweeps forward, three backward
         # (xhat, reductions, dx) — all bandwidth-bound.
         _streaming_time(fwd, f"{layer.name}_fwd", 2 * in_bytes)
         _streaming_time(bwd, f"{layer.name}_bwd", 3 * in_bytes)
-    elif type(layer).__name__ == "Add":
+    elif isinstance(layer, Add):
         _streaming_time(fwd, f"{layer.name}_fwd", 2 * out_bytes)
         _streaming_time(bwd, f"{layer.name}_bwd", out_bytes)
     elif isinstance(layer, Dropout):

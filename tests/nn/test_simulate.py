@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
+from repro.nn import (Add, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d,
+                      ReLU, Sequential)
 from repro.nn.models import lenet5
 from repro.nn.simulate import (breakdown_by_type, layer_time,
-                               model_breakdown)
+                               layer_time_split, model_breakdown)
 from repro.frameworks.registry import get_implementation
 
 
@@ -36,6 +37,15 @@ class TestLayerTime:
         small = layer_time(pool, (8, 16, 16, 16), (8, 16, 8, 8), impl)
         big = layer_time(pool, (8, 16, 128, 128), (8, 16, 64, 64), impl)
         assert big > small
+
+    @pytest.mark.parametrize("base,args", [(BatchNorm2d, (64,)), (Add, ())])
+    def test_subclass_costs_like_its_base(self, base, args):
+        """A layer is costed by what it is, not by its class name."""
+        impl = get_implementation("cudnn")
+        sub = type(f"My{base.__name__}", (base,), {})
+        shape = (32, 64, 28, 28)
+        assert layer_time_split(sub(*args, name="x"), shape, shape, impl) \
+            == layer_time_split(base(*args, name="x"), shape, shape, impl)
 
 
 class TestModelBreakdown:
