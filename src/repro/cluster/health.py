@@ -163,7 +163,7 @@ class HealthPlane:
     :class:`~repro.cluster.fleet.Cluster`.
 
     The cluster calls :meth:`register` for every spawned replica,
-    :meth:`poll` once per event-loop pass, folds
+    :meth:`poll` at each stop where :meth:`next_event_s` is due, folds
     :meth:`next_event_s` into its event horizon, and routes
     completions/evacuations through :meth:`on_completion` /
     :meth:`plan_requeue`.  :meth:`scorecard` is the resilience section
@@ -340,9 +340,7 @@ class HealthPlane:
 
     def _probe_pass(self, t: float) -> None:
         interval = self.config.probe_interval_s
-        for replica in list(self.cluster.replicas):
-            if not replica.active:
-                continue
+        for replica in list(self.cluster.live):
             self.probes += 1
             last = self._last_hb[replica.index]
             responsive = not replica.down
@@ -378,6 +376,7 @@ class HealthPlane:
         the retry budget, retire it, schedule the replacement."""
         outcome = "crashed" if replica.down else "evicted"
         evacuated = replica.evict(t, outcome=outcome)
+        self.cluster.live.remove(replica)
         self.evictions += 1
         self._current.pop(replica.slot, None)
         self._registry.counter("cluster_evictions_total").inc()
@@ -395,9 +394,9 @@ class HealthPlane:
 
     def _hedge_pass(self, t: float) -> None:
         hedge_after = self.config.hedge_after_s
-        replicas = self.cluster.replicas
-        for replica in list(replicas):
-            if not replica.active or replica.queue_depth == 0:
+        replicas = self.cluster.live
+        for replica in replicas:
+            if replica.queue_depth == 0:
                 continue
             head = replica.server.queue.oldest_lane()
             if head is None:
@@ -451,15 +450,10 @@ class HealthPlane:
             "hedge.win" if won else "hedge.cancel", cat="health",
             start_s=now_s, end_s=now_s, rid=rid,
             completed_on=replica.index, cancelled_on=loser.index)
-        if loser.active:
-            request = hedge["request"]
-            removed = loser.server.queue.remove(request.key, rid)
-            if removed is not None:
-                loser.server.stats.record_shed("hedge_cancelled", 1)
-            else:
-                # In flight (or already shed): swallow its completion
-                # if one ever surfaces.
-                self._ignore.add(rid)
+        if loser.active and not loser.cancel(hedge["request"]):
+            # In flight (or already shed): swallow its completion if
+            # one ever surfaces.
+            self._ignore.add(rid)
         return True
 
     def plan_requeue(self, requests: List[Request]

@@ -221,6 +221,7 @@ class Router:
         self.policy = policy
         self._obs = obs
         self.routed: Dict[int, int] = {}
+        self._routed_total: Dict[int, object] = {}
         self.no_replica = 0
         self.decisions: Optional[List[Tuple[int, int]]] = \
             [] if record_decisions else None
@@ -237,8 +238,12 @@ class Router:
             return None
         chosen = self.policy.choose(eligible, request, now_s)
         self.routed[chosen.index] = self.routed.get(chosen.index, 0) + 1
-        self._obs.registry.counter("cluster_routed_total",
-                                   replica=str(chosen.index)).inc()
+        counter = self._routed_total.get(chosen.index)
+        if counter is None:
+            counter = self._routed_total[chosen.index] = \
+                self._obs.registry.counter("cluster_routed_total",
+                                           replica=str(chosen.index))
+        counter.inc()
         if self.decisions is not None:
             self.decisions.append((request.rid, chosen.index))
         return chosen

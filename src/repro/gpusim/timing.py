@@ -68,6 +68,11 @@ class SimClock:
         """
         self._observer = fn
 
+    @property
+    def observed(self) -> bool:
+        """Whether a time observer is attached."""
+        return self._observer is not None
+
     def advance(self, dt_s: float) -> float:
         """Move forward by ``dt_s`` seconds; returns the new time."""
         if dt_s < 0:

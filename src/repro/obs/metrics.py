@@ -198,6 +198,11 @@ class MetricsRegistry:
             out[metric.kind + "s"][series] = metric.snapshot_value()
         return out
 
+    def counters(self) -> Dict[str, float]:
+        """:meth:`snapshot`'s counters, without summarising histograms."""
+        return {series: metric.value for series, metric in self._sorted()
+                if metric.kind == "counter"}
+
     def render(self) -> str:
         """Plain-text snapshot, one series per line."""
         lines = []

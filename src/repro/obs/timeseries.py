@@ -155,7 +155,7 @@ class Rollups:
                    device: Optional[str] = None) -> None:
         """Attach a registry; deltas accrue from this point on."""
         self._sources.append((name, registry, device))
-        self._snapshots[name] = dict(registry.snapshot()["counters"])
+        self._snapshots[name] = registry.counters()
 
     def add_probe(self, name: str, fn: Callable[[], Dict[str, float]],
                   device: Optional[str] = None) -> None:
@@ -243,14 +243,15 @@ class Rollups:
         """Attribute all registry/probe deltas since the last fold to
         window ``wi`` (every unfolded tick happened inside it)."""
         for name, registry, _device in self._sources:
-            current = registry.snapshot()["counters"]
+            # Counters only: histogram summaries cost O(run length).
+            current = registry.counters()
             last = self._snapshots[name]
             delta = {series: value - last.get(series, 0.0)
                      for series, value in current.items()
                      if value != last.get(series, 0.0)}
             if delta:
                 self._pending_counters.setdefault(wi, {})[name] = delta
-            self._snapshots[name] = dict(current)
+            self._snapshots[name] = current
         for name, fn, _device in self._probes:
             current = dict(fn())
             last = self._probe_snapshots[name]

@@ -3,7 +3,10 @@ one-replica cluster's exact equivalence to a single Server run."""
 
 import pytest
 
-from repro.cluster import ClusterConfig, Replica, serve_cluster
+from repro.cluster import Cluster, ClusterConfig, Replica, serve_cluster
+from repro.core import evalcache
+from repro.faults.plan import named_plan
+from repro.gpusim import memo
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
@@ -50,14 +53,37 @@ class TestEquivalence:
         rep = serve_cluster(trace, ClusterConfig(replicas=1, server=config))
         assert rep.replicas[0].report.to_dict() == solo.to_dict()
 
+    @pytest.mark.parametrize("plan", ["cache-chaos", "chaos"])
+    def test_one_replica_registry_matches_server_run(self, plan):
+        """Clock-driven faults (plan-cache corruptions) land in the
+        replica's own registry, as they do in Server.run, however the
+        fleet loop moves the replica's clock."""
+        trace = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=3000,
+                                           seed=7))
+        fault = named_plan(plan, duration_s=1.0)
+        memo.clear_all()
+        evalcache.reset_cache()
+        server = Server(ServerConfig(), fault_plan=fault, fault_seed=11)
+        solo = server.run(trace)
+        memo.clear_all()
+        evalcache.reset_cache()
+        # Replica 0 draws fault seed ``seed + 7919``.
+        cluster = Cluster(ClusterConfig(replicas=1, default_fault_plan=fault,
+                                        seed=11 - 7919))
+        report = cluster.run(trace)
+        replica = cluster.replicas[0].server
+        assert report.replicas[0].report.to_dict() == solo.to_dict()
+        assert replica.obs.registry.snapshot() == \
+            server.obs.registry.snapshot()
+
 
 class TestClockProtocol:
     def test_busy_replica_refuses_work_until_fleet_catches_up(self):
         replica = Replica(0, small_config()).begin(0.0)
         replica.admit(req(0))
         replica.poll(0.0, drain=True)       # dispatches; clock runs ahead
-        busy = replica.busy_until(0.0)
-        assert busy is not None and busy > 0.0
+        busy = replica.next_event_s(0.0)
+        assert 0.0 < busy < float("inf")
         depth_before = replica.queue_depth
         mid = busy / 2                      # strictly inside the batch
         replica.admit(req(1, arrival=mid))
@@ -127,7 +153,7 @@ class TestKill:
         replica = Replica(0, small_config()).begin(0.0)
         replica.admit(req(0))
         replica.poll(0.0, drain=True)       # batch in flight
-        busy = replica.busy_until(0.0)
+        busy = replica.next_event_s(0.0)
         replica.kill(busy / 2)              # killed mid-batch
         # The dispatched batch's completion stands; retirement lands
         # at the batch boundary, not before it.

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from repro.cluster import Cluster, ClusterConfig, HealthConfig
+from repro.cluster import (AutoscalePolicy, Cluster, ClusterConfig,
+                           HealthConfig, Replica)
 from repro.core import evalcache
 from repro.gpusim import memo
 from repro.gpusim.allocator import DeviceAllocator
@@ -17,6 +18,7 @@ from repro.faults import named_fleet_plan
 from repro.faults.plan import named_plan
 from repro.obs.export import chrome_trace, cluster_chrome_trace
 from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.slo import SLOPolicy, SLORule
 from repro.obs.timeseries import TelemetryConfig
 from repro.obs.tracer import SimTracer, TraceSampler
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
@@ -31,6 +33,10 @@ KEY2 = shape_key(MODEL_SHAPES["AlexNet"][0][1])
 TRACE = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=4000.0, seed=7))
 FLEET_TRACE = generate_trace(TrafficSpec(duration_s=1.0, rate_rps=6000.0,
                                          seed=7))
+MATRIX_TRACE = generate_trace(TrafficSpec(duration_s=0.5, rate_rps=6000.0,
+                                          seed=7))
+OVERLOAD_TRACE = generate_trace(TrafficSpec(duration_s=1.0,
+                                            rate_rps=4000.0, seed=11))
 
 #: Trace sampling rates of the server matrix (0 = untraced).
 SAMPLES = (0, 1, 4)
@@ -100,6 +106,70 @@ FLEET_DIGESTS = {
     1: ("2298817f15df699a", "bd8579ae4736f511"),
     10: ("2298817f15df699a", "257db4a1fc19b702"),
 }
+
+
+#: Fleet configurations beyond :data:`FLEET_DIGESTS`, each pinned as
+#: (cluster report, fleet registry snapshot, merged Chrome trace at
+#: sample 1), recorded with the loop that polled every replica at
+#: every stop.  See :func:`matrix_case` for the configurations.
+FLEET_MATRIX = {
+    "fleet-chaos/round-robin": ("bdec3dfa342d9a05", "8a804715ded70759",
+                                "f4ecee5084bcf7e1"),
+    "fleet-chaos/least-loaded": ("54930811fa1a5bdc", "3638518336ec79af",
+                                 "d1e9dc833514e941"),
+    "fleet-chaos/p2c": ("dd4728528e8be087", "24d86607d8fc248e",
+                        "7a65f777a5170b59"),
+    "fleet-chaos/shape-affinity": ("874a7ada294d2d0e", "af3605812b101a76",
+                                   "89289f2a085a803b"),
+    "fleet-chaos/device-affinity": ("73f1263f42626945", "a122ef65290b161d",
+                                    "2737d579196f80df"),
+    "none/least-loaded": ("61e5a5f17e23fdc6", "5ea0ac92b25c68b1",
+                          "5b62dba4ef72edcb"),
+    "crash/least-loaded": ("eb28d5c4a42299b2", "e556f7a87969135d",
+                           "432414f131abcd81"),
+    "degrade/least-loaded": ("3867c388f78aaa30", "d80111a3efcf1386",
+                             "321a9330b76455e3"),
+    "flapping/least-loaded": ("3d4b034b081c5a68", "ce369e66f6de7a70",
+                              "2df9a5d6fb0e6f3d"),
+    "domain-outage/least-loaded": ("2fceb67a066aca49", "b7b6c84070f3275d",
+                                   "46bf7ae790be4f9a"),
+    "autoscale": ("4fb4929cc3c6168d", "ad8573bfa12698a7",
+                  "235dc43737fdf98c"),
+    "kills": ("176cd1f55a9abe65", "b9e94e4bf0cc39ee", "177ee5adb7e5ff40"),
+    "straggler": ("d284696ffca318ce", "47851101420d3bd2",
+                  "527d12bdf4e05541"),
+}
+
+
+def matrix_case(name):
+    """``(config, trace)`` of one :data:`FLEET_MATRIX` row."""
+    if name == "autoscale":
+        # test_fleet's drain-back-down scenario on a 1 s trace: one
+        # scale-up, then a drain once the SLO recovers.
+        slo = SLOPolicy(rules=(SLORule(name="p99", kind="latency_p99",
+                                       threshold=0.03),), window_s=0.05)
+        return ClusterConfig(
+            replicas=1, policy="least-loaded", slo=slo, window_s=0.25,
+            autoscale=AutoscalePolicy(min_replicas=1, max_replicas=4,
+                                      cooldown_s=0.2)), OVERLOAD_TRACE
+    if name == "kills":
+        # Slot 1 dies, restarts, and its replacement is killed again.
+        return ClusterConfig(
+            replicas=3, policy="least-loaded",
+            health=HealthConfig(restart_delay_s=0.05, restart_jitter_s=0.0),
+            kills=[(1, 0.1), (1, 0.3)]), MATRIX_TRACE
+    if name == "straggler":
+        return ClusterConfig(
+            replicas=3, policy="p2c",
+            default_fault_plan=named_plan("straggler", 0.5)), MATRIX_TRACE
+    plan, policy = name.split("/")
+    devices = (("k40c", "k40c", "maxwell", "maxwell")
+               if policy == "device-affinity" else ())
+    return ClusterConfig(
+        replicas=4, policy=policy, devices=devices,
+        health=HealthConfig(hedge_after_s=0.02),
+        fleet_fault_plan=named_fleet_plan(plan, duration_s=0.5, replicas=4),
+        telemetry=TelemetryConfig(window_s=0.25)), MATRIX_TRACE
 
 
 def cold_caches() -> None:
@@ -178,6 +248,40 @@ class TestMemoByteIdentity:
         trace = None if tracer is None else digest(cluster_chrome_trace(
             tracer, cluster.replica_tracers, cluster.obs.registry))
         assert (report, trace) == FLEET_DIGESTS[sample]
+
+    @pytest.mark.parametrize("case", sorted(FLEET_MATRIX))
+    def test_fleet_matrix_identical(self, case):
+        cold_caches()
+        config, trace = matrix_case(case)
+        cluster = Cluster(config)
+        tracer = cluster.enable_tracing(sample=1)
+        report = cluster.run(trace)
+        registry = cluster.obs.registry
+        assert (digest(report.to_dict()), digest(registry.snapshot()),
+                digest(cluster_chrome_trace(tracer, cluster.replica_tracers,
+                                            registry))) == FLEET_MATRIX[case]
+
+    def test_fleet_chaos_polls_only_due_replicas(self, monkeypatch):
+        # At most two polls per routed arrival on the pinned fleet-chaos
+        # run; polling every replica at every stop made about nine.
+        polls = []
+        poll = Replica.poll
+
+        def counted(replica, now_s, drain=False):
+            polls.append(now_s)
+            return poll(replica, now_s, drain=drain)
+
+        monkeypatch.setattr(Replica, "poll", counted)
+        cluster = Cluster(ClusterConfig(
+            replicas=4, policy="least-loaded",
+            health=HealthConfig(hedge_after_s=0.02),
+            fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=1.0,
+                                              replicas=4),
+            telemetry=TelemetryConfig(window_s=0.25)))
+        cluster.run(FLEET_TRACE)
+        routed = sum(cluster.router.routed.values())
+        assert routed > 0
+        assert len(polls) <= 2 * routed
 
     def test_memo_counts_hits(self):
         server = Server(ServerConfig())
