@@ -21,6 +21,7 @@ lets the plan cache reach steady-state hit rates above 90 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional, Tuple
 
 from .queue import AdmissionQueue
@@ -105,10 +106,10 @@ class DynamicBatcher:
             return None
         key, oldest = head
         max_batch = self._max_batch
-        # Release when full, waited past the guard, or draining.  Same
-        # expression as release_at(): comparing now against the
-        # absolute release time keeps the scheduler's advance_to(release)
-        # exact under floating point ((a + w) - a can round below w).
+        # Release when full, waited past the guard, or draining: the
+        # rule oldest_full() and release_at() answer for the fleet.
+        # Comparing now against the absolute release time keeps
+        # advance_to(release) exact ((a + w) - a can round below w).
         if (not drain and now_s < oldest.arrival_s + self._max_wait_s
                 and queue.lane_len(key) < max_batch):
             return None
@@ -125,8 +126,13 @@ class DynamicBatcher:
                               batch=padded)
         return batch
 
-    def release_at(self, queue: AdmissionQueue) -> Optional[float]:
-        """Earliest future time at which the max-wait guard will
-        release the oldest lane (for the scheduler's clock)."""
+    def release_at(self, queue: AdmissionQueue) -> float:
+        """Earliest time at which the max-wait guard will release the
+        oldest lane (for the scheduler's clock); ``inf`` when empty."""
         arrival = queue.oldest_arrival()
-        return None if arrival is None else arrival + self.policy.max_wait_s
+        return inf if arrival is None else arrival + self.policy.max_wait_s
+
+    def oldest_full(self, queue: AdmissionQueue) -> bool:
+        """Whether the oldest lane holds a full batch (released now)."""
+        head = queue.oldest_lane()
+        return head is not None and queue.lane_len(head[0]) >= self._max_batch

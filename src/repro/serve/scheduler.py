@@ -639,12 +639,9 @@ class Server:
                     break
                 # Nothing releasable: advance to the next event — the next
                 # arrival or the oldest lane's max-wait expiry.
-                events = []
+                events = [self.batcher.release_at(queue)]
                 if i < n:
                     events.append(pending[i].t_s)
-                release = self.batcher.release_at(queue)
-                if release is not None:
-                    events.append(release)
                 clock.advance_to(min(events))
         return self.finish()
 

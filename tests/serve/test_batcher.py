@@ -113,7 +113,23 @@ class TestRelease:
         b = DynamicBatcher(policy)
         q = filled_queue(1, arrival=0.010)
         assert b.release_at(q) == pytest.approx(0.014)
-        assert b.release_at(AdmissionQueue()) is None
+        assert b.release_at(AdmissionQueue()) == float("inf")
+
+    def test_oldest_full_reads_only_the_oldest_lane(self):
+        """A full lane waiting behind the oldest lane is not released
+        (next_batch serves only the oldest lane), so it counts only
+        once it becomes the oldest."""
+        b = DynamicBatcher(BatchPolicy(max_batch=2, max_wait_s=0.004))
+        q = AdmissionQueue()
+        assert not b.oldest_full(q)
+        q.offer(req(0, key=KEY_A, arrival=0.0))
+        q.offer(req(1, key=KEY_B, arrival=0.001))
+        q.offer(req(2, key=KEY_B, arrival=0.002))
+        assert not b.oldest_full(q)
+        assert b.next_batch(q, now_s=0.003) is None
+        q.remove(KEY_A, 0)
+        assert b.oldest_full(q)
+        assert b.next_batch(q, now_s=0.003).key == KEY_B
 
     def test_release_time_is_reachable(self):
         """advance_to(release_at()) must satisfy the release guard —
