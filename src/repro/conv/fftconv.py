@@ -74,29 +74,10 @@ def transform_size(input_size: int, kernel_size: int,
 
 _WS_LOCK = threading.Lock()
 _WORKSPACES: Dict[tuple, np.ndarray] = {}
-_WS_HITS = 0
-_WS_MISSES = 0
-
-
-def workspace_stats() -> Dict[str, int]:
-    """Hit/miss/entry counters of the rfft2 workspace cache."""
-    with _WS_LOCK:
-        return {"entries": len(_WORKSPACES), "hits": _WS_HITS,
-                "misses": _WS_MISSES}
-
-
-def clear_workspaces() -> None:
-    """Drop cached workspaces and reset the counters."""
-    global _WS_HITS, _WS_MISSES
-    with _WS_LOCK:
-        _WORKSPACES.clear()
-        _WS_HITS = 0
-        _WS_MISSES = 0
 
 
 def _spectra(x: np.ndarray, n: int) -> np.ndarray:
     """2-D real FFT of the last two axes, zero-padded to (n, n)."""
-    global _WS_HITS, _WS_MISSES
     h, w = x.shape[-2:]
     if h == n and w == n:
         return np.fft.rfft2(x)
@@ -106,9 +87,6 @@ def _spectra(x: np.ndarray, n: int) -> np.ndarray:
         if buf is None:
             buf = np.zeros(x.shape[:-2] + (n, n), dtype=x.dtype)
             _WORKSPACES[key] = buf
-            _WS_MISSES += 1
-        else:
-            _WS_HITS += 1
     # The buffer never escapes this function, and only the operand
     # region is ever written, so the pad region stays zero across
     # reuses — no re-clearing needed.

@@ -24,9 +24,9 @@ registry DESIGN.md indexes).
 
 from .evalcache import EvalCache, EvalRecord, evaluate, get_cache
 from .hotspot_layers import hotspot_layer_analysis, ModelBreakdown
-from .runtime_comparison import runtime_sweep, RuntimePoint, SweepResult
+from .runtime_comparison import runtime_sweep, SweepResult
 from .hotspot_kernels import hotspot_kernel_analysis, KernelBreakdown
-from .memory_comparison import memory_sweep, MemoryPoint
+from .memory_comparison import memory_sweep
 from .gpu_metrics import gpu_metric_profile, table2_resources, MetricRow
 from .transfer_overhead import transfer_overhead_profile, TransferRow
 from .advisor import Advisor, Recommendation
@@ -51,12 +51,10 @@ __all__ = [
     "hotspot_layer_analysis",
     "ModelBreakdown",
     "runtime_sweep",
-    "RuntimePoint",
     "SweepResult",
     "hotspot_kernel_analysis",
     "KernelBreakdown",
     "memory_sweep",
-    "MemoryPoint",
     "gpu_metric_profile",
     "table2_resources",
     "MetricRow",

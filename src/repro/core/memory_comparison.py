@@ -23,16 +23,6 @@ from .report import series
 from .runtime_comparison import _X_OF
 
 
-@dataclass(frozen=True)
-class MemoryPoint:
-    """Peak memory of one (implementation, config) pair."""
-
-    implementation: str
-    config: ConvConfig
-    peak_bytes: Optional[int]  # None = unsupported or OOM
-    oom: bool = False
-
-
 @dataclass
 class MemorySweepResult:
     """All implementations' peaks over one sweep."""
@@ -77,10 +67,3 @@ def memory_sweep(sweep: str,
     ooms = {name: [r.oom for r in col] for name, col in records.items()}
     return MemorySweepResult(sweep=sweep, xs=xs, configs=configs,
                              peaks=peaks, ooms=ooms)
-
-
-def all_memory_sweeps(device: DeviceSpec = K40C,
-                      cache: CacheArg = None) -> Dict[str, MemorySweepResult]:
-    """All five sweeps of Fig. 5."""
-    return {name: memory_sweep(name, device=device, cache=cache)
-            for name in SWEEPS}

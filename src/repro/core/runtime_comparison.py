@@ -18,7 +18,7 @@ or by a previous run against the same on-disk store cost a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..config import SWEEPS, ConvConfig, sweep_configs
@@ -28,19 +28,6 @@ from ..gpusim.device import DeviceSpec, K40C
 from . import evalcache
 from .evalcache import CacheArg
 from .report import series
-
-
-@dataclass(frozen=True)
-class RuntimePoint:
-    """One (implementation, config) runtime measurement."""
-
-    implementation: str
-    config: ConvConfig
-    time_s: Optional[float]  # None = configuration unsupported
-
-    @property
-    def supported(self) -> bool:
-        return self.time_s is not None
 
 
 @dataclass

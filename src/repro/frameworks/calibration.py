@@ -45,7 +45,9 @@ cached_instance_hash(ResourceUsage)
 #: implementation's top kernels (block sizes are not in the paper; they
 #: are the documented launch shapes of the respective kernels —
 #: cuBLAS/cuDNN tiles use 256 threads, cuda-convnet2's filterActs uses
-#: 32x12=384, Theano-fft's elementwise kernels 128).
+#: 32x12=384, Theano-fft's elementwise kernels 128).  The last entry is
+#: not the paper's: it belongs to the what-if adapter of
+#: :mod:`repro.frameworks.winograd_ext`, which Table II does not list.
 TABLE2_RESOURCES = {
     "caffe": ResourceUsage(86, 8704, 256),           # 8.5 KB
     "cudnn": ResourceUsage(80, 8602, 256),           # 8.4 KB
@@ -54,6 +56,9 @@ TABLE2_RESOURCES = {
     "cuda-convnet2": ResourceUsage(116, 16384, 384), # 16 KB
     "fbfft": ResourceUsage(106, 10240, 256),         # 10 KB
     "theano-fft": ResourceUsage(2, 4608, 128),       # 4.5 KB
+    # cuDNN v5's Winograd kernels are register-heavy, like every
+    # transform-domain kernel (public figures, not the paper's).
+    "cudnn-winograd": ResourceUsage(96, 12288, 256), # 12 KB
 }
 
 
@@ -212,6 +217,8 @@ TRANSFER_BEHAVIOUR = {
     "theano-corrmm": TransferBehaviour(pinned=False, async_=False,
                                        activation_roundtrips=0.0,
                                        host_staging_threshold=3 * 2**30),
+    # The Winograd what-if adapter moves data as cuDNN does.
+    "cudnn-winograd": TransferBehaviour(pinned=True, async_=True),
 }
 
 

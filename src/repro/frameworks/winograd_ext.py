@@ -25,22 +25,7 @@ from ..conv.winograd import TILE_IN, TILE_OUT, forward_multiplies
 from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig, grid_for
 from ._plans import gemm_spec, pointwise_spec
 from .base import ConvImplementation, Strategy
-from .calibration import (GEMM_CALIBRATION, ITEMSIZE, ResourceUsage,
-                          TABLE2_RESOURCES)
-
-#: Resource usage of cuDNN v5's winograd kernels (public: they are
-#: register-heavy like all transform-domain kernels).  Registered
-#: alongside Table II so the occupancy machinery applies unchanged.
-WINOGRAD_RESOURCES = ResourceUsage(registers_per_thread=96,
-                                   shared_per_block=12288,
-                                   block_threads=256)
-TABLE2_RESOURCES.setdefault("cudnn-winograd", WINOGRAD_RESOURCES)
-
-# Transfer behaviour mirrors cuDNN's (pinned + prefetch, fully hidden).
-from .calibration import TRANSFER_BEHAVIOUR  # noqa: E402
-
-TRANSFER_BEHAVIOUR.setdefault("cudnn-winograd",
-                              TRANSFER_BEHAVIOUR["cudnn"])
+from .calibration import GEMM_CALIBRATION, ITEMSIZE, TABLE2_RESOURCES
 
 
 class CuDNNWinograd(ConvImplementation):

@@ -20,9 +20,11 @@ that description into the quantities nvprof reports:
   occupancy-dependent latency hiding → kernel *runtime* and *IPC*;
 * :mod:`~repro.gpusim.allocator` — device memory with peak tracking →
   the Fig. 5 memory-usage numbers and OOM behaviour;
-* :mod:`~repro.gpusim.transfer` / :mod:`~repro.gpusim.stream` — the
-  PCIe bus, pinned/pageable bandwidth, and async copy/compute overlap →
-  the Fig. 7 transfer overheads;
+* :mod:`~repro.gpusim.transfer` — the PCIe bus, pinned/pageable
+  bandwidth, and the closed-form async copy/compute overlap
+  (:func:`~repro.gpusim.transfer.exposed_transfer_time`) → the Fig. 7
+  transfer overheads (a discrete-event two-stream simulation in the
+  test suite cross-checks that formula);
 * :mod:`~repro.gpusim.profiler` — an nvprof-like session that records
   per-kernel metric rows and aggregates them runtime-weighted, the
   method section V-C describes.
@@ -38,9 +40,7 @@ from .timing import KernelTiming, time_kernel
 from .allocator import DeviceAllocator
 from .transfer import TransferEngine, TransferKind
 from .profiler import Profiler, KernelExecution
-from .stream import Stream, Timeline
 from .roofline import RooflinePoint, analyse as roofline_analyse, ridge_point
-from .trace import to_chrome_trace
 from .multigpu import ScalingPoint, strong_scaling, weak_scaling
 from .energy import EnergyReport, iteration_energy
 
@@ -66,12 +66,9 @@ __all__ = [
     "TransferKind",
     "Profiler",
     "KernelExecution",
-    "Stream",
-    "Timeline",
     "RooflinePoint",
     "roofline_analyse",
     "ridge_point",
-    "to_chrome_trace",
     "ScalingPoint",
     "strong_scaling",
     "weak_scaling",

@@ -85,10 +85,6 @@ def set_enabled(enabled: bool) -> None:
     _ENABLED = bool(enabled)
 
 
-def is_enabled() -> bool:
-    return _ENABLED
-
-
 def clear_all() -> None:
     """Drop every registered cache (counters reset too)."""
     for _, cached in _REGISTRY:

@@ -12,7 +12,7 @@ estimates of Fig. 6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ProfilerError
 from ..obs.context import get_obs
@@ -54,20 +54,10 @@ class Profiler:
         self.executions: List[KernelExecution] = []
         self.transfers = TransferEngine(device)
         self._active = False
-        self._observer: Optional[Callable[[KernelExecution], None]] = None
         # Device identity label for the per-kernel time counters,
         # computed once (the digest is cached per spec instance, but
         # the f-string is not worth rebuilding per launch).
         self._device_label = f"{device.name}@{spec_digest(device)}"
-
-    def set_observer(
-            self,
-            observer: Optional[Callable[[KernelExecution], None]]) -> None:
-        """Call ``observer`` with each :class:`KernelExecution` as it is
-        recorded (``None`` detaches).  The observability plane uses this
-        to stream kernel launches into a live trace without the profiler
-        knowing about tracers."""
-        self._observer = observer
 
     # -- session management ----------------------------------------------------
 
@@ -98,8 +88,7 @@ class Profiler:
         balanced usage.
         """
         timing = time_kernel(self.device, spec)
-        execution = KernelExecution(timing)
-        self.executions.append(execution)
+        self.executions.append(KernelExecution(timing))
         registry = get_obs().registry
         registry.counter("gpusim_kernel_launches_total",
                          role=spec.role.value).inc()
@@ -110,8 +99,6 @@ class Profiler:
         registry.counter("gpusim_kernel_time_seconds_total",
                          kernel=spec.name, role=spec.role.value,
                          device=self._device_label).inc(timing.time_s)
-        if self._observer is not None:
-            self._observer(execution)
         return timing
 
     def launch_all(self, specs: Sequence[KernelSpec]) -> List[KernelTiming]:

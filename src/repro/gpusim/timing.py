@@ -116,7 +116,7 @@ class KernelTiming:
     compute_time_s: float
     memory_time_s: float
     shared_time_s: float
-    bound: str  # 'compute' | 'memory' | 'shared' | 'latency'
+    bound: str  # 'compute' | 'memory' | 'shared'
     theoretical_occupancy: float
     achieved_occupancy: float
     warp_execution_efficiency: float

@@ -9,9 +9,10 @@ into large ones.  All three are mechanically represented here:
 * pinned vs pageable memory select different sustained bandwidths;
 * each copy pays a fixed bus/driver latency, so many small transfers
   are slower than one large one;
-* asynchronous copies are handed to a :class:`~repro.gpusim.stream.
-  Timeline`, which overlaps them with compute and only charges the
-  non-hidden remainder.
+* asynchronous copies overlap compute, and
+  :func:`exposed_transfer_time` charges only the non-hidden remainder
+  in closed form.  A discrete-event two-stream simulation in the test
+  suite cross-checks that formula.
 """
 
 from __future__ import annotations

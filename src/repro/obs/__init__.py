@@ -16,8 +16,8 @@ every layer at once:
   the evaluation cache and the fault plane find the active tracer
   without signature plumbing;
 * :mod:`repro.obs.export` — Chrome-trace/Perfetto JSON (serving rows
-  and GPU rows in one timeline), a JSONL structured event log, and
-  deterministic metrics snapshots;
+  and GPU rows in one timeline, or one bare profiler session), a JSONL
+  structured event log, and deterministic metrics snapshots;
 * :mod:`repro.obs.hist` — the one shared implementation of the
   percentile / summary math;
 * :mod:`repro.obs.analyze` — offline trace analytics: load a saved
@@ -42,8 +42,9 @@ from .dashboard import (render_dashboard, render_dashboard_from_log,
                         render_dashboard_live)
 from .diff import TraceDiff, diff_runs, diff_traces, profile_run
 from .export import (SCHEMA_VERSION, chrome_trace, jsonl_lines,
-                     load_metrics_snapshot, render_metrics, span_events,
-                     write_chrome_trace, write_jsonl, write_metrics)
+                     load_metrics_snapshot, profiler_trace, render_metrics,
+                     span_events, write_chrome_trace, write_jsonl,
+                     write_metrics)
 from .hist import percentile, summarize
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NULL_REGISTRY, NullRegistry)
@@ -108,6 +109,7 @@ __all__ = [
     "parse_rules",
     "percentile",
     "profile_run",
+    "profiler_trace",
     "render_dashboard",
     "render_dashboard_from_log",
     "render_dashboard_live",

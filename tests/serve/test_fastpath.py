@@ -343,16 +343,6 @@ class TestHeadHeap:
         self.offer(queue, 1, KEY2, 1.0)  # same arrival, later lane
         assert queue.oldest_lane()[0] == KEY
 
-    def test_push_front_restores_oldest(self):
-        queue = AdmissionQueue()
-        self.offer(queue, 0, KEY, 1.0)
-        self.offer(queue, 1, KEY2, 2.0)
-        taken = queue.take(KEY, 4)
-        assert queue.oldest_lane()[0] == KEY2
-        queue.push_front(KEY, taken)  # OOM split returns the batch
-        assert queue.oldest_lane()[0] == KEY
-        assert queue.oldest_arrival() == 1.0
-
     def test_shed_rebuilds_heap(self):
         queue = AdmissionQueue()
         self.offer(queue, 0, KEY, 0.0, timeout_s=0.1)

@@ -75,12 +75,6 @@ class TestLanes:
         key, _ = q.oldest_lane()
         assert key == KEY_A
 
-    def test_push_front_preserves_order(self):
-        q = AdmissionQueue()
-        q.offer(req(3))
-        q.push_front(KEY_A, [req(1), req(2)])
-        assert [r.rid for r in q.take(KEY_A, 10)] == [1, 2, 3]
-
 
 class TestShedding:
     def test_shed_expired_drops_only_expired(self):
