@@ -31,7 +31,7 @@ def bench_energy_efficiency(benchmark, save_artifact):
             if not impl.supports(BASE_CONFIG):
                 continue
             p = impl.profile_iteration(BASE_CONFIG)
-            rep = iteration_energy(K40C, p.profiler.timings())
+            rep = iteration_energy(K40C, p.profiler.executions)
             eff = rep.images_per_joule(BASE_CONFIG.batch)
             effs[impl.paper_name] = eff
             body.append([impl.paper_name, f"{rep.energy_j:.2f}",

@@ -8,6 +8,7 @@ configurations where it applies.
 import pytest
 
 from repro.config import BASE_CONFIG, ConvConfig
+from repro.core.evalcache import evaluate
 from repro.core.report import table
 from repro.frameworks.registry import all_implementations
 from repro.frameworks.winograd_ext import CuDNNWinograd
@@ -34,7 +35,7 @@ def bench_winograd_vs_the_seven(benchmark, save_artifact):
             times = {}
             for impl in impls:
                 if impl.supports(cfg):
-                    times[impl.paper_name] = impl.time_iteration(cfg)
+                    times[impl.paper_name] = evaluate(impl, cfg).time_s
             winner = min(times, key=times.get)
             results[case] = (times, winner)
             rows.append([case, winner,

@@ -31,9 +31,9 @@ def main() -> None:
 
     print("\nRoofline placement of cuDNN's kernels at the base config:")
     prof = get_implementation("cudnn").profile_iteration(BASE_CONFIG)
-    points = analyse(K40C, prof.profiler.timings())
+    points = analyse(K40C, prof.profiler.executions)
     print(render(K40C, points))
-    s = summarise(K40C, prof.profiler.timings())
+    s = summarise(K40C, prof.profiler.executions)
     print(f"\n  whole iteration: {s.flops_utilisation:.0%} of peak FLOPs, "
           f"{s.bandwidth_utilisation:.0%} of peak bandwidth, "
           f"{s.compute_bound_time_fraction:.0%} of time compute-bound")

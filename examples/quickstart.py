@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import BASE_CONFIG, Advisor, all_implementations
+from repro.core.evalcache import evaluate
 from repro.core.report import table
 
 
@@ -23,14 +24,13 @@ def main() -> None:
         if not impl.supports(BASE_CONFIG):
             rows.append([impl.paper_name, impl.strategy.value, "-", "-", "-"])
             continue
-        profile = impl.profile_iteration(BASE_CONFIG)
-        mem = impl.peak_memory_bytes(BASE_CONFIG)
+        record = evaluate(impl, BASE_CONFIG)
         rows.append([
             impl.paper_name,
             impl.strategy.value,
-            f"{profile.total_time_s * 1000:.2f}",
-            f"{mem / 2**20:.0f}",
-            f"{profile.transfer_fraction * 100:.1f}",
+            f"{record.time_s * 1000:.2f}",
+            f"{record.peak_memory_bytes / 2**20:.0f}",
+            f"{record.transfer_fraction * 100:.1f}",
         ])
     print(table(
         ["Implementation", "Strategy", "Time (ms)", "Peak mem (MB)",

@@ -18,9 +18,10 @@ Layered public API:
 Quick start::
 
     from repro import BASE_CONFIG, all_implementations
+    from repro.core.evalcache import evaluate
     for impl in all_implementations():
         if impl.supports(BASE_CONFIG):
-            print(impl.paper_name, impl.time_iteration(BASE_CONFIG))
+            print(impl.paper_name, evaluate(impl, BASE_CONFIG).time_s)
 """
 
 from .config import (BASE_CONFIG, SWEEPS, TABLE1_CONFIGS, ConvConfig,

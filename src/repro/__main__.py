@@ -150,7 +150,6 @@ def cmd_compare(args) -> int:
     from .obs.context import NULL_OBS, Observability, obs_session
 
     config = _config_from_args(args)
-    cache = evalcache.DISABLED if args.no_cache else None
     obs = NULL_OBS
     if args.trace or args.metrics:
         from .gpusim.timing import SimClock
@@ -160,8 +159,7 @@ def cmd_compare(args) -> int:
     t0 = time.perf_counter()
     impls = all_implementations()
     with obs_session(obs):
-        records = [evalcache.evaluate(impl, config, K40C, cache=cache)
-                   for impl in impls]
+        records = [evalcache.evaluate(impl, config, K40C) for impl in impls]
     elapsed = time.perf_counter() - t0
     if args.trace:
         _write_trace(args.trace, obs.tracer, obs.registry,
@@ -181,11 +179,10 @@ def cmd_compare(args) -> int:
              "memory_mb": None if m == "-" else float(m)}
             for name, t, m in rows
         ]
-        store = evalcache.resolve_cache(cache)
         doc = {"config": str(config),
                "results": results,
                "elapsed_s": elapsed,
-               "cache": None if store is None else store.stats()}
+               "cache": evalcache.get_cache().stats()}
         _emit_metrics(args, obs.registry, embed=doc)
         print(json.dumps(doc, indent=2))
         return 0
@@ -214,18 +211,15 @@ def cmd_export(args) -> int:
     from .core.runtime_comparison import runtime_sweep
     from .core.transfer_overhead import transfer_overhead_profile
 
-    from .core import evalcache
-
-    cache = evalcache.DISABLED if args.no_cache else None
     os.makedirs(args.dir, exist_ok=True)
     for sweep in SWEEPS:
-        runtime_sweep_csv(runtime_sweep(sweep, cache=cache),
+        runtime_sweep_csv(runtime_sweep(sweep),
                           os.path.join(args.dir, f"fig3_{sweep}.csv"))
-        memory_sweep_csv(memory_sweep(sweep, cache=cache),
+        memory_sweep_csv(memory_sweep(sweep),
                          os.path.join(args.dir, f"fig5_{sweep}.csv"))
     breakdown_csv(hotspot_layer_analysis(),
                   os.path.join(args.dir, "fig2_breakdown.csv"))
-    metrics_csv(gpu_metric_profile(cache=cache),
+    metrics_csv(gpu_metric_profile(),
                 os.path.join(args.dir, "fig6_metrics.csv"))
     transfer_csv(transfer_overhead_profile(),
                  os.path.join(args.dir, "fig7_transfers.csv"))
@@ -1026,8 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "compare":
             p.add_argument("--json", action="store_true",
                            help="machine-readable output")
-            p.add_argument("--no-cache", action="store_true",
-                           help="bypass the shared evaluation cache")
             _add_obs_args(p)
         p.set_defaults(fn=fn)
 
@@ -1037,8 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write figure data as CSV")
     p_export.add_argument("dir", help="output directory")
-    p_export.add_argument("--no-cache", action="store_true",
-                          help="bypass the shared evaluation cache")
     p_export.set_defaults(fn=cmd_export)
 
     p_devices = sub.add_parser(

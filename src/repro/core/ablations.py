@@ -30,6 +30,7 @@ from ..frameworks.fft_model import iteration_workload, transform_size
 from ..frameworks.registry import get_implementation
 from ..gpusim.device import K40C
 from ..gpusim.transfer import TransferEngine, exposed_transfer_time
+from .evalcache import evaluate, evaluate_fitting
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,8 @@ def gradient_buffer_policy(config: ConvConfig = BASE_CONFIG) -> AblationResult:
     torch = get_implementation("torch-cunn")
     return AblationResult(
         name="gradient-buffer policy (peak memory)",
-        baseline=torch.peak_memory_bytes(config) / 2**20,
-        ablated=caffe.peak_memory_bytes(config) / 2**20,
+        baseline=evaluate_fitting(torch, config).peak_memory_bytes / 2**20,
+        ablated=evaluate_fitting(caffe, config).peak_memory_bytes / 2**20,
         unit="MB",
         conclusion="separate data/diff blobs roughly double the "
                    "activation footprint — the Caffe-vs-Torch gap of "
@@ -89,8 +90,8 @@ def batch_tiling(config: ConvConfig = BASE_CONFIG) -> AblationResult:
     impl = get_implementation("cuda-convnet2")
     aligned = config.scaled(batch=128)
     unaligned = config.scaled(batch=96)
-    t_aligned = impl.time_iteration(aligned) / aligned.batch
-    t_unaligned = impl.time_iteration(unaligned) / unaligned.batch
+    t_aligned = evaluate(impl, aligned).time_s / aligned.batch
+    t_unaligned = evaluate(impl, unaligned).time_s / unaligned.batch
     return AblationResult(
         name="cuda-convnet2 batch tiling (per-image time)",
         baseline=t_aligned * 1000,
@@ -105,7 +106,7 @@ def transfer_mitigations(config: ConvConfig = BASE_CONFIG) -> AblationResult:
     """Pinned+async vs pageable+sync for the same input copy."""
     engine = TransferEngine(K40C)
     nbytes = config.batch * config.channels * config.input_size ** 2 * 4
-    compute = get_implementation("caffe").profile_iteration(config).gpu_time_s
+    compute = evaluate(get_implementation("caffe"), config).gpu_time_s
     sync_pageable = exposed_transfer_time(
         engine.copy_time(nbytes, pinned=False), 0.0, compute)
     async_pinned = exposed_transfer_time(
@@ -124,10 +125,10 @@ def transfer_mitigations(config: ConvConfig = BASE_CONFIG) -> AblationResult:
 def occupancy_is_not_performance(config: ConvConfig = BASE_CONFIG) -> AblationResult:
     """The paper's section V-C-1 lesson, quantified: Theano-fft has
     ~3x the achieved occupancy of cuda-convnet2 yet runs far slower."""
-    ccn2 = get_implementation("cuda-convnet2").profile_iteration(config)
-    tfft = get_implementation("theano-fft").profile_iteration(config)
-    occ_ccn2 = ccn2.profiler.summary().achieved_occupancy
-    occ_tfft = tfft.profiler.summary().achieved_occupancy
+    ccn2 = evaluate(get_implementation("cuda-convnet2"), config)
+    tfft = evaluate(get_implementation("theano-fft"), config)
+    occ_ccn2 = ccn2.summary().achieved_occupancy
+    occ_tfft = tfft.summary().achieved_occupancy
     return AblationResult(
         name=(f"occupancy vs speed (ccn2 occ {occ_ccn2:.0%} vs "
               f"theano-fft occ {occ_tfft:.0%}) — runtime"),

@@ -1,13 +1,15 @@
 """Shared analytic-evaluation cache.
 
-Every consumer of the performance model — the Fig. 3 runtime sweeps,
-the Fig. 5 memory sweeps, the Fig. 6 metric profiles, the advisor and
-the serving scheduler — needs the same pure derivation per
-``(implementation, configuration, device)`` point: kernel plan →
-occupancy → roofline timing → peak memory → profiler metrics.  Before
-this module each pipeline re-derived it privately (and PR 1's serving
-plan cache memoized only its own rankings), so a full study evaluated
-identical points many times over.
+Every consumer of the performance model needs the same pure
+derivation per ``(implementation, configuration, device)`` point:
+kernel plan → occupancy → roofline timing → peak memory → profiler
+metrics.  The consumers are the paper's figures (the Fig. 2 layer
+walk in :mod:`repro.nn.simulate`, the Fig. 3 runtime sweeps, the
+Fig. 4 hotspot kernels, the Fig. 5 memory sweeps, the Fig. 6 metric
+profiles and the Fig. 7 transfer overheads), the extensions (the
+ablations, the cross-device sensitivity study, the per-layer oracle,
+the implementation audit and the calibration headlines), the advisor
+and the serving scheduler.  None of them runs the model itself.
 
 :func:`evaluate` is the single entry point.  It returns an
 :class:`EvalRecord` — the complete analytic evaluation, content-
@@ -17,8 +19,9 @@ process-wide :class:`EvalCache` (hit) or by running the model once
 (miss).  Records are plain frozen values: JSON-serializable for the
 optional on-disk store under ``benchmarks/results/``, and rich enough
 to answer every downstream question (runtime, peak memory/OOM,
-per-kernel timings, runtime-weighted Fig. 6 metric summaries) without
-touching the model again.
+per-kernel timings, Fig. 4 hotspot shares, runtime-weighted Fig. 6
+metric summaries, the Fig. 7 transfer fraction) without touching the
+model again.
 
 Thread safety: the cache takes a lock around its dictionary, and the
 underlying model layers are either pure or memoized with thread-safe
@@ -61,9 +64,9 @@ class KernelRecord:
     Freshly computed records carry the profiler's own
     :class:`~repro.gpusim.timing.KernelTiming` rows (no copying on the
     hot path); records loaded from a JSON store carry these instead.
-    Metric field names match ``KernelTiming`` so
-    :func:`~repro.gpusim.metrics.weighted_summary` aggregates either
-    type interchangeably."""
+    Both types expose ``name``, ``role`` and the metric fields under
+    the same names, so :mod:`repro.gpusim.metrics` and every other
+    consumer read either type without asking which it holds."""
 
     name: str
     role: str
@@ -82,17 +85,7 @@ _KERNEL_ROW_FIELDS = ("time_s", "achieved_occupancy", "ipc",
                       "warp_execution_efficiency", "gld_efficiency",
                       "gst_efficiency", "shared_efficiency",
                       "shared_load_bank_conflicts",
-                      "shared_store_bank_conflicts")
-
-
-def _kernel_row(kernel) -> dict:
-    """JSON row for one kernel (KernelTiming or KernelRecord)."""
-    row = {f: getattr(kernel, f) for f in _KERNEL_ROW_FIELDS}
-    if isinstance(kernel, KernelRecord):
-        row["name"], row["role"] = kernel.name, kernel.role
-    else:
-        row["name"], row["role"] = kernel.spec.name, kernel.spec.role.value
-    return row
+                      "shared_store_bank_conflicts", "name", "role")
 
 
 @dataclass(frozen=True)
@@ -117,8 +110,8 @@ class EvalRecord:
     oom_bytes: Optional[int]
     #: Per-kernel rows: ``KernelTiming`` when computed in-process (the
     #: profiler's own objects, shared not copied), ``KernelRecord``
-    #: when loaded from a JSON store.  Both shapes feed
-    #: :func:`~repro.gpusim.metrics.weighted_summary`.
+    #: when loaded from a JSON store.  Both types feed every
+    #: aggregate of :mod:`repro.gpusim.metrics`.
     kernels: Tuple[object, ...]
 
     def summary(self, top_n: Optional[int] = None) -> MetricSummary:
@@ -128,6 +121,14 @@ class EvalRecord:
             raise ValueError(
                 f"no kernel records for {self.implementation} (unsupported?)")
         return weighted_summary(self.kernels, top_n=top_n)
+
+    @property
+    def transfer_fraction(self) -> float:
+        """Share of iteration time spent (visibly) on transfers — the
+        quantity of Fig. 7."""
+        if self.time_s is None or self.time_s <= 0:
+            return 0.0
+        return self.exposed_transfer_s / self.time_s
 
     # -- JSON (disk store) -------------------------------------------------
 
@@ -153,7 +154,8 @@ class EvalRecord:
             "peak_memory_bytes": self.peak_memory_bytes,
             "oom": self.oom,
             "oom_bytes": self.oom_bytes,
-            "kernels": [_kernel_row(k) for k in self.kernels],
+            "kernels": [{f: getattr(k, f) for f in _KERNEL_ROW_FIELDS}
+                        for k in self.kernels],
         }
         return d
 
@@ -231,7 +233,7 @@ def compute_record(impl: ConvImplementation, config: ConvConfig,
             exposed_transfer_s=None, peak_memory_bytes=None,
             oom=False, oom_bytes=None, kernels=())
     profile = impl.profile_iteration(config, device)
-    kernels = tuple(profile.profiler.timings())
+    kernels = tuple(profile.profiler.executions)
     try:
         peak: Optional[int] = impl.peak_memory_bytes(config, device)
         oom, oom_bytes = False, None
@@ -360,6 +362,8 @@ class EvalCache:
                 raise ValueError(
                     f"store version {payload.get('version')!r} != "
                     f"{EVALCACHE_VERSION}")
+            if not isinstance(payload.get("records"), dict):
+                raise ValueError("store records are not an object")
             records = {k: EvalRecord.from_dict(d)
                        for k, d in payload["records"].items()}
         except OSError as exc:
@@ -555,4 +559,20 @@ def evaluate(impl: ConvImplementation, config: ConvConfig,
                     time_s=record.time_s)
     obs.registry.counter("evalcache_requests_total", result=result,
                          device=device_key(device)).inc()
+    return record
+
+
+def evaluate_fitting(impl: ConvImplementation, config: ConvConfig,
+                     device: DeviceSpec = K40C) -> EvalRecord:
+    """:func:`evaluate` for callers that read ``peak_memory_bytes``.
+
+    An out-of-memory point raises the allocator's typed
+    :class:`~repro.errors.DeviceOOMError` instead of returning a record
+    whose peak is None.  The record keeps only the failed total
+    (``oom_bytes``), so the error is rebuilt by replaying the memory
+    plan; that happens on the failure path alone.
+    """
+    record = evaluate(impl, config, device)
+    if record.oom:
+        impl.peak_memory_bytes(config, device)   # raises DeviceOOMError
     return record

@@ -16,6 +16,8 @@ from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.kernels import KernelRole
+from ..gpusim.metrics import kernel_shares, runtime_shares
+from .evalcache import evaluate
 from .report import bar_breakdown
 
 #: The canonical kernel-role taxonomy every layer of the repo shares:
@@ -57,12 +59,12 @@ def hotspot_kernel_analysis(config: ConvConfig = BASE_CONFIG,
     for impl in impls:
         if not impl.supports(config):
             continue
-        profile = impl.profile_iteration(config, device)
+        record = evaluate(impl, config, device)
         results.append(KernelBreakdown(
             implementation=impl.paper_name,
             config=config,
-            role_shares=profile.profiler.hotspot_roles(),
-            kernel_shares=profile.profiler.hotspot_kernels(),
-            total_time_s=profile.gpu_time_s,
+            role_shares=runtime_shares(record.kernels),
+            kernel_shares=kernel_shares(record.kernels),
+            total_time_s=record.gpu_time_s,
         ))
     return results

@@ -20,6 +20,7 @@ from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
 from ..nn.conv_layer import Conv2d
+from .evalcache import evaluate
 from .report import table
 
 
@@ -98,7 +99,7 @@ def per_layer_choices(model, input_shape: Tuple[int, ...],
         times: Dict[str, float] = {}
         for impl in impls:
             if impl.supports(config):
-                times[impl.paper_name] = impl.time_iteration(config, device)
+                times[impl.paper_name] = evaluate(impl, config, device).time_s
         if not times:
             continue
         choices.append(LayerChoice(

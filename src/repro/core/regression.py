@@ -27,6 +27,7 @@ from ..core.gpu_metrics import gpu_metric_profile
 from ..core.runtime_comparison import runtime_sweep
 from ..core.transfer_overhead import transfer_overhead_profile
 from ..frameworks.registry import all_implementations
+from .evalcache import evaluate, evaluate_fitting
 
 
 def capture_headlines() -> Dict[str, float]:
@@ -35,10 +36,10 @@ def capture_headlines() -> Dict[str, float]:
     for impl in all_implementations():
         if impl.supports(BASE_CONFIG):
             head[f"base_ms/{impl.name}"] = round(
-                impl.time_iteration(BASE_CONFIG) * 1000, 4)
+                evaluate(impl, BASE_CONFIG).time_s * 1000, 4)
             big = BASE_CONFIG.scaled(batch=512)
             head[f"mem512_mb/{impl.name}"] = round(
-                impl.peak_memory_bytes(big) / 2**20, 1)
+                evaluate_fitting(impl, big).peak_memory_bytes / 2**20, 1)
 
     kernel = runtime_sweep("kernel")
     head["crossover_k"] = float(next(

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..config import BASE_CONFIG, ConvConfig, sweep_configs
 from ..frameworks.registry import all_implementations, get_implementation
 from ..gpusim.device import K20X, K40C, M40, TITAN_X, DeviceSpec
+from .evalcache import evaluate, evaluate_fitting
 from .report import table
 
 
@@ -46,15 +47,17 @@ def headlines(device: DeviceSpec) -> DeviceHeadlines:
     peaks = {}
     for impl in impls:
         if impl.supports(BASE_CONFIG):
-            times[impl.paper_name] = impl.time_iteration(BASE_CONFIG, device)
-            peaks[impl.paper_name] = impl.peak_memory_bytes(BASE_CONFIG, device)
+            record = evaluate_fitting(impl, BASE_CONFIG, device)
+            times[impl.paper_name] = record.time_s
+            peaks[impl.paper_name] = record.peak_memory_bytes
     winner = min(times, key=times.get)
 
     fbfft = get_implementation("fbfft")
     cudnn = get_implementation("cudnn")
     crossover = None
     for cfg in sweep_configs("kernel"):
-        if fbfft.time_iteration(cfg, device) < cudnn.time_iteration(cfg, device):
+        if (evaluate(fbfft, cfg, device).time_s
+                < evaluate(cudnn, cfg, device).time_s):
             crossover = cfg.kernel_size
             break
     return DeviceHeadlines(

@@ -14,6 +14,7 @@ from ..config import TABLE1_CONFIGS, ConvConfig
 from ..frameworks.base import ConvImplementation
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
+from .evalcache import evaluate
 from .report import table
 
 
@@ -40,14 +41,14 @@ def transfer_overhead_profile(configs: Optional[Dict[str, ConvConfig]] = None,
         for impl in impls:
             if not impl.supports(config):
                 continue
-            p = impl.profile_iteration(config, device)
+            record = evaluate(impl, config, device)
             rows.append(TransferRow(
                 implementation=impl.paper_name,
                 config_name=cname,
                 config=config,
-                transfer_fraction=p.transfer_fraction,
-                transfer_time_s=p.exposed_transfer_s,
-                total_time_s=p.total_time_s,
+                transfer_fraction=record.transfer_fraction,
+                transfer_time_s=record.exposed_transfer_s,
+                total_time_s=record.time_s,
             ))
     return rows
 

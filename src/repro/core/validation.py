@@ -26,6 +26,7 @@ from ..frameworks.base import ConvImplementation, Strategy
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.kernels import KernelRole
 from ..rng import make_rng
+from .evalcache import evaluate
 
 
 @dataclass
@@ -126,13 +127,13 @@ def audit_timing(impl: ConvImplementation, config: ConvConfig,
     """Every kernel must time positively; the iteration must not be
     absurd (sub-microsecond or above ten seconds) for paper-scale
     configs."""
-    profile = impl.profile_iteration(config, device)
+    record = evaluate(impl, config, device)
     report.record("timing-positive",
-                  all(t.time_s > 0 for t in profile.profiler.timings()))
-    report.record("timing-sane", 1e-6 < profile.total_time_s < 10.0,
-                  f"iteration {profile.total_time_s}s")
+                  all(t.time_s > 0 for t in record.kernels))
+    report.record("timing-sane", 1e-6 < record.time_s < 10.0,
+                  f"iteration {record.time_s}s")
     report.record("transfer-fraction-bounded",
-                  0.0 <= profile.transfer_fraction < 1.0)
+                  0.0 <= record.transfer_fraction < 1.0)
 
 
 def audit_implementation(impl: ConvImplementation, config: ConvConfig,

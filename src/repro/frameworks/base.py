@@ -70,14 +70,6 @@ class IterationProfile:
     exposed_transfer_s: float    # the part that extends the iteration
     total_time_s: float
 
-    @property
-    def transfer_fraction(self) -> float:
-        """Share of iteration time spent (visibly) on transfers — the
-        quantity of Fig. 7."""
-        if self.total_time_s <= 0:
-            return 0.0
-        return self.exposed_transfer_s / self.total_time_s
-
 
 class ConvImplementation(abc.ABC):
     """Base class for the seven benchmarked implementations."""
@@ -224,7 +216,11 @@ class ConvImplementation(abc.ABC):
 
     def profile_iteration(self, config: ConvConfig,
                           device: DeviceSpec = K40C) -> IterationProfile:
-        """Run one training iteration through the device model."""
+        """Run one training iteration through the device model.
+
+        Analyses read the result through
+        :func:`repro.core.evalcache.evaluate`, which calls this once per
+        point."""
         self.check_config(config)
         prof = Profiler(device)
         with prof.session():
@@ -245,11 +241,6 @@ class ConvImplementation(abc.ABC):
             exposed_transfer_s=exposed,
             total_time_s=gpu + exposed,
         )
-
-    def time_iteration(self, config: ConvConfig,
-                       device: DeviceSpec = K40C) -> float:
-        """Total simulated time of one training iteration, seconds."""
-        return self.profile_iteration(config, device).total_time_s
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.paper_name or self.name}>"

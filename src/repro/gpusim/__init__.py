@@ -39,7 +39,7 @@ from .occupancy import OccupancyResult, occupancy
 from .timing import KernelTiming, time_kernel
 from .allocator import DeviceAllocator
 from .transfer import TransferEngine, TransferKind
-from .profiler import Profiler, KernelExecution
+from .profiler import Profiler
 from .roofline import RooflinePoint, analyse as roofline_analyse, ridge_point
 from .multigpu import ScalingPoint, strong_scaling, weak_scaling
 from .energy import EnergyReport, iteration_energy
@@ -65,7 +65,6 @@ __all__ = [
     "TransferEngine",
     "TransferKind",
     "Profiler",
-    "KernelExecution",
     "RooflinePoint",
     "roofline_analyse",
     "ridge_point",

@@ -55,7 +55,8 @@ def weighted_summary(timings: Sequence["KernelTiming"],  # noqa: F821
     Parameters
     ----------
     timings:
-        Per-kernel :class:`~repro.gpusim.timing.KernelTiming` records.
+        Per-kernel :class:`~repro.gpusim.timing.KernelTiming` rows, or
+        the flat rows of a stored evaluation record.
     top_n:
         Restrict to the N longest-running kernels first (the paper
         profiles "top kernels"); ``None`` uses all of them.
@@ -92,8 +93,7 @@ def runtime_shares(timings: Sequence["KernelTiming"]) -> Dict[str, float]:  # no
         raise ValueError("timings have no runtime")
     shares: Dict[str, float] = {}
     for t in timings:
-        key = t.spec.role.value
-        shares[key] = shares.get(key, 0.0) + t.time_s / total
+        shares[t.role] = shares.get(t.role, 0.0) + t.time_s / total
     return shares
 
 
@@ -104,5 +104,5 @@ def kernel_shares(timings: Sequence["KernelTiming"]) -> Dict[str, float]:  # noq
         raise ValueError("timings have no runtime")
     shares: Dict[str, float] = {}
     for t in timings:
-        shares[t.spec.name] = shares.get(t.spec.name, 0.0) + t.time_s / total
+        shares[t.name] = shares.get(t.name, 0.0) + t.time_s / total
     return shares

@@ -3,39 +3,25 @@
 The paper's methodology (section III-B) uses nvprof to collect five
 metrics and two events per kernel.  :class:`Profiler` plays that role
 for the analytic model: framework adapters *launch* kernel specs into
-an active session, the session times them through the roofline engine
-and stores per-kernel :class:`KernelExecution` rows, and the analysis
-harness asks for summaries, hotspot tables and the weighted metric
-estimates of Fig. 6.
+an active session, and the session times them through the roofline
+engine and keeps one :class:`~repro.gpusim.timing.KernelTiming` row
+per launch in :attr:`Profiler.executions`.  The analysis harness reads
+those rows from the evaluation record of :mod:`repro.core.evalcache`
+and aggregates them with :mod:`repro.gpusim.metrics`: the
+runtime-weighted metric estimates of Fig. 6 and the hotspot shares of
+Fig. 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import ProfilerError
 from ..obs.context import get_obs
 from .device import DeviceSpec, K40C, spec_digest
 from .kernels import KernelSpec
-from .metrics import MetricSummary, kernel_shares, runtime_shares, weighted_summary
 from .timing import KernelTiming, time_kernel
 from .transfer import TransferEngine, TransferKind, TransferRecord
-
-
-@dataclass(frozen=True)
-class KernelExecution:
-    """One profiled kernel launch (spec + its timing/metrics)."""
-
-    timing: KernelTiming
-
-    @property
-    def name(self) -> str:
-        return self.timing.spec.name
-
-    @property
-    def time_s(self) -> float:
-        return self.timing.time_s
 
 
 class Profiler:
@@ -51,7 +37,8 @@ class Profiler:
 
     def __init__(self, device: DeviceSpec = K40C):
         self.device = device
-        self.executions: List[KernelExecution] = []
+        #: One timing row per launch, in launch order.
+        self.executions: List[KernelTiming] = []
         self.transfers = TransferEngine(device)
         self._active = False
         # Device identity label for the per-kernel time counters,
@@ -88,7 +75,7 @@ class Profiler:
         balanced usage.
         """
         timing = time_kernel(self.device, spec)
-        self.executions.append(KernelExecution(timing))
+        self.executions.append(timing)
         registry = get_obs().registry
         registry.counter("gpusim_kernel_launches_total",
                          role=spec.role.value).inc()
@@ -118,30 +105,3 @@ class Profiler:
     def gpu_time(self) -> float:
         """Total kernel time (excludes transfers), seconds."""
         return sum(e.time_s for e in self.executions)
-
-    def timings(self) -> List[KernelTiming]:
-        return [e.timing for e in self.executions]
-
-    def summary(self, top_n: Optional[int] = None) -> MetricSummary:
-        """Runtime-weighted metric estimate (the Fig. 6 method)."""
-        if not self.executions:
-            raise ProfilerError("no kernel executions recorded")
-        return weighted_summary(self.timings(), top_n=top_n)
-
-    def hotspot_roles(self) -> Dict[str, float]:
-        """Runtime share per kernel-role group (Fig. 4)."""
-        if not self.executions:
-            raise ProfilerError("no kernel executions recorded")
-        return runtime_shares(self.timings())
-
-    def hotspot_kernels(self) -> Dict[str, float]:
-        """Runtime share per kernel name."""
-        if not self.executions:
-            raise ProfilerError("no kernel executions recorded")
-        return kernel_shares(self.timings())
-
-    def top_kernels(self, n: int = 5) -> List[KernelExecution]:
-        """The N longest-running kernel launches."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        return sorted(self.executions, key=lambda e: e.time_s, reverse=True)[:n]

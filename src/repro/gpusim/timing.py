@@ -131,6 +131,15 @@ class KernelTiming:
     def __post_init__(self) -> None:
         assert self.time_s > 0
 
+    @property
+    def name(self) -> str:
+        return self.spec.name
+
+    @property
+    def role(self) -> str:
+        """The Fig. 4 role group, as a string."""
+        return self.spec.role.value
+
 
 def _utilisation(warps_resident: float, regs_per_thread: int,
                  demand: float) -> float:

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ConvConfig
+from ..core.evalcache import evaluate
 from ..errors import ShapeError
 from ..frameworks.base import ConvImplementation
 from ..frameworks.calibration import GEMM_CALIBRATION, ITEMSIZE, TABLE2_RESOURCES
@@ -111,7 +112,7 @@ def layer_time_split(layer: Layer, in_shape, out_shape,
             # op where the selected one cannot run (e.g. Theano-fft on
             # AlexNet's stride-4 conv1 falls back to CorrMM).
             conv_impl = get_implementation("theano-corrmm")
-        total = conv_impl.profile_iteration(config, device).gpu_time_s
+        total = evaluate(conv_impl, config, device).gpu_time_s
         forward = total * _FORWARD_FRACTION
         return forward, total - forward
 

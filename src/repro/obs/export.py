@@ -125,10 +125,9 @@ def profiler_trace(profiler) -> dict:
     _, _, copy_tid, copy = _ROWS["memcpy"]
     events: List[dict] = []
     t = 0.0
-    for e in profiler.executions:
-        timing = e.timing
+    for timing in profiler.executions:
         events.append({
-            "name": e.name,
+            "name": timing.name,
             "cat": "kernel",
             "ph": "X",
             "pid": pid,

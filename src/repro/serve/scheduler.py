@@ -374,13 +374,9 @@ class Server:
         scale = (finish - start) / total
         t = start
         for k in kernels:
-            # KernelTiming rows carry a spec; KernelRecord rows are flat.
-            spec = getattr(k, "spec", None)
-            name = spec.name if spec is not None else k.name
-            role = spec.role.value if spec is not None else k.role
             dur = k.time_s * scale
-            tracer.add_span(name, cat="gpu", start_s=t, end_s=t + dur,
-                            role=role, model_time_s=k.time_s)
+            tracer.add_span(k.name, cat="gpu", start_s=t, end_s=t + dur,
+                            role=k.role, model_time_s=k.time_s)
             t += dur
 
     def _split(self, requests: Sequence[Request], key: ShapeKey,

@@ -1,7 +1,9 @@
 """Tests for the shared analytic-evaluation cache."""
 
 import json
+import os
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -9,12 +11,16 @@ from repro.config import BASE_CONFIG, ConvConfig
 from repro.core import evalcache
 from repro.core.evalcache import (EvalCache, EvalRecord, cache_key,
                                   cacheable, compute_record, config_key,
-                                  evaluate)
+                                  evaluate, evaluate_fitting)
 from repro.core.gpu_metrics import gpu_metric_profile
 from repro.core.memory_comparison import memory_sweep
 from repro.core.runtime_comparison import all_runtime_sweeps, runtime_sweep
+from repro.errors import DeviceOOMError
+from repro.frameworks.base import ConvImplementation
 from repro.frameworks.registry import resolve_implementation
+from repro.gpusim import memo
 from repro.gpusim.device import DEVICES, K40C, DeviceSpec
+from repro.gpusim.metrics import kernel_shares, runtime_shares, weighted_summary
 
 SMALL = ConvConfig(batch=16, input_size=32, filters=16, kernel_size=3,
                    stride=1, channels=3)
@@ -324,6 +330,22 @@ class TestQuarantine:
             assert EvalCache().load(path) == 0
         assert os.path.exists(path + ".bad")
 
+    @pytest.mark.parametrize("records", [[], "not records"])
+    def test_records_not_an_object_quarantines(self, tmp_path, records):
+        path = str(tmp_path / "store.json")
+        payload = {"version": evalcache.EVALCACHE_VERSION,
+                   "records": records}
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert EvalCache().load(path) == 0
+        assert os.path.exists(path + ".bad")
+        # The constructor's warm start survives the same store.
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.warns(UserWarning, match="quarantined"):
+            assert len(EvalCache(path=path)) == 0
+
     def test_missing_file_is_not_quarantined(self, tmp_path):
         path = str(tmp_path / "absent.json")
         with pytest.warns(UserWarning, match="unreadable"):
@@ -337,3 +359,104 @@ class TestQuarantine:
             cache = EvalCache(path=path)
         evaluate(cudnn, SMALL, cache=cache)
         assert cache.misses == 1
+
+
+class TestOnePath:
+    """Every model run behind the report, the calibration headlines and
+    the audit is a cache-miss computation of :func:`evaluate`."""
+
+    def test_every_profile_runs_inside_compute_record(self, monkeypatch):
+        from repro.core.full_report import generate_report
+        from repro.core.regression import capture_headlines
+        from repro.core.validation import audit_all
+
+        real_compute = evalcache.compute_record
+        real_profile = ConvImplementation.profile_iteration
+        depth, calls, outside = [0], [0], []
+
+        def compute(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_compute(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def profile(impl, config, *args, **kwargs):
+            calls[0] += 1
+            if not depth[0]:
+                outside.append((impl.name, config_key(config)))
+            return real_profile(impl, config, *args, **kwargs)
+
+        monkeypatch.setattr(evalcache, "compute_record", compute)
+        monkeypatch.setattr(ConvImplementation, "profile_iteration", profile)
+        previous = evalcache.set_cache(EvalCache())
+        memo.clear_all()
+        try:
+            generate_report()
+            capture_headlines()
+            audit_all(BASE_CONFIG)
+        finally:
+            evalcache.set_cache(previous)
+        assert calls[0] > 0
+        assert outside == []
+
+
+class TestStoredRows:
+    """Records loaded from a JSON store carry flat rows; every kernel-row
+    consumer reads them exactly as it reads a fresh record's rows."""
+
+    def test_shares_and_summary_match_fresh_rows(self, tmp_path, cudnn):
+        cache = EvalCache()
+        fresh = evaluate(cudnn, BASE_CONFIG, cache=cache)
+        path = str(tmp_path / "store.json")
+        cache.save(path)
+        stored = EvalCache(path=path).peek(
+            cache_key(cudnn.name, BASE_CONFIG, K40C))
+        assert type(stored.kernels[0]) is not type(fresh.kernels[0])
+        for fn in (runtime_shares, kernel_shares, weighted_summary):
+            assert fn(stored.kernels) == fn(fresh.kernels)
+
+    def test_fig4_from_a_stored_store(self, tmp_path):
+        from repro.core.hotspot_kernels import hotspot_kernel_analysis
+
+        cache = EvalCache()
+        previous = evalcache.set_cache(cache)
+        try:
+            fresh = hotspot_kernel_analysis(BASE_CONFIG)
+            path = str(tmp_path / "store.json")
+            cache.save(path)
+            loaded = EvalCache(path=path)
+            evalcache.set_cache(loaded)
+            stored = hotspot_kernel_analysis(BASE_CONFIG)
+        finally:
+            evalcache.set_cache(previous)
+        # Every breakdown came from a stored record's flat rows.
+        assert (loaded.hits, loaded.misses) == (len(fresh), 0)
+        assert stored == fresh
+
+
+class TestOutOfMemory:
+    """A caller that reads a peak raises the typed out-of-memory error,
+    not a ``TypeError`` on the record's ``None`` peak."""
+
+    def test_headlines_on_a_small_device(self):
+        from repro.core.sensitivity import headlines
+
+        with pytest.raises(DeviceOOMError):
+            headlines(replace(K40C, global_memory_bytes=2**30))
+
+    def test_gradient_buffer_policy_at_a_huge_batch(self):
+        from repro.core.ablations import gradient_buffer_policy
+
+        with pytest.raises(DeviceOOMError):
+            gradient_buffer_policy(BASE_CONFIG.scaled(batch=4096))
+
+    def test_error_matches_the_direct_model_call(self, cudnn):
+        huge = BASE_CONFIG.scaled(batch=4096)
+        with pytest.raises(DeviceOOMError) as direct:
+            cudnn.peak_memory_bytes(huge)
+        record = evaluate(cudnn, huge)
+        assert record.oom and record.peak_memory_bytes is None
+        with pytest.raises(DeviceOOMError) as routed:
+            evaluate_fitting(cudnn, huge)
+        assert str(routed.value) == str(direct.value)

@@ -134,7 +134,7 @@ class TestTDPConsolidation:
         config = ConvConfig(batch=64, input_size=32, filters=64,
                             kernel_size=3)
         profiled = impl.profile_iteration(config)
-        report = iteration_energy(K40C, profiled.profiler.timings())
+        report = iteration_energy(K40C, profiled.profiler.executions)
         tdp = TDP_WATTS["Tesla K40c"]
         static = STATIC_FRACTION * tdp
         lo = static * report.time_s

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import BASE_CONFIG
+from repro.core.evalcache import evaluate
 from repro.frameworks import all_implementations, get_implementation
 from repro.frameworks.base import IterationProfile
 from repro.frameworks.registry import IMPLEMENTATION_CLASSES, implementation_map
@@ -52,18 +53,23 @@ class TestIterationProfile:
         assert profile.total_time_s == pytest.approx(
             profile.gpu_time_s + profile.exposed_transfer_s)
 
-    def test_transfer_fraction_in_unit_interval(self, profile):
-        assert 0.0 <= profile.transfer_fraction <= 1.0
-
     def test_profiler_carries_kernels(self, profile):
         assert profile.profiler.executions
         assert profile.gpu_time_s == pytest.approx(
             profile.profiler.gpu_time())
 
     def test_time_iteration_matches_profile(self):
-        impl = get_implementation("caffe")
-        assert impl.time_iteration(BASE_CONFIG) == pytest.approx(
-            impl.profile_iteration(BASE_CONFIG).total_time_s)
+        """The evaluation record carries the profile's iteration time
+        and the Fig. 7 transfer share derived from it."""
+        for name in ("caffe", "torch-cunn"):
+            impl = get_implementation(name)
+            profile = impl.profile_iteration(BASE_CONFIG)
+            record = evaluate(impl, BASE_CONFIG)
+            assert record.time_s == profile.total_time_s
+            assert record.gpu_time_s == profile.gpu_time_s
+            assert record.transfer_fraction == (
+                profile.exposed_transfer_s / profile.total_time_s)
+            assert 0.0 <= record.transfer_fraction <= 1.0
 
     def test_async_transfers_hidden(self):
         """Caffe prefetches: its input copy must be fully hidden."""

@@ -54,8 +54,8 @@ class TestDeterminism:
     def test_time_iteration_deterministic(self):
         impl = get_implementation("fbfft")
         from repro.config import BASE_CONFIG
-        assert impl.time_iteration(BASE_CONFIG) == impl.time_iteration(
-            BASE_CONFIG)
+        assert (impl.profile_iteration(BASE_CONFIG).total_time_s
+                == impl.profile_iteration(BASE_CONFIG).total_time_s)
 
     def test_experiment_deterministic(self):
         from repro import run_experiment

@@ -8,6 +8,7 @@ cheap formula throughout the harness.
 import pytest
 
 from repro.config import BASE_CONFIG, TABLE1_CONFIGS
+from repro.core.evalcache import evaluate
 from repro.frameworks.registry import all_implementations, get_implementation
 
 from .stream_oracle import iteration_timeline
@@ -30,13 +31,13 @@ class TestSteadyState:
 
     def test_agrees_with_closed_form(self):
         """For every implementation and Table-I config, the event
-        simulation's transfer fraction matches profile_iteration's
+        simulation's transfer fraction matches the evaluation record's
         within 3 percentage points."""
         for impl in all_implementations():
             for name, config in TABLE1_CONFIGS.items():
                 if not impl.supports(config):
                     continue
-                analytic = impl.profile_iteration(config).transfer_fraction
+                analytic = evaluate(impl, config).transfer_fraction
                 simulated = iteration_timeline(impl, config).transfer_fraction
                 assert simulated == pytest.approx(analytic, abs=0.03), (
                     impl.name, name, analytic, simulated)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import BASE_CONFIG, ConvConfig
 from repro.conv.reference import conv2d_reference
+from repro.core.evalcache import evaluate
 from repro.errors import UnsupportedConfigError
 from repro.frameworks.registry import IMPLEMENTATION_CLASSES, get_implementation
 from repro.frameworks.winograd_ext import (EXTENSION_IMPLEMENTATIONS,
@@ -63,9 +64,9 @@ class TestWhatIfPerformance:
         """The historical outcome: cuDNN v5's Winograd gave ~2x on
         VGG-style layers.  The what-if adapter must beat the v3-era
         implementations on such a layer."""
-        t_wg = wg.time_iteration(VGG_LAYER)
-        t_cudnn = get_implementation("cudnn").time_iteration(VGG_LAYER)
-        t_fbfft = get_implementation("fbfft").time_iteration(VGG_LAYER)
+        t_wg = evaluate(wg, VGG_LAYER).time_s
+        t_cudnn = evaluate(get_implementation("cudnn"), VGG_LAYER).time_s
+        t_fbfft = evaluate(get_implementation("fbfft"), VGG_LAYER).time_s
         assert t_wg < t_cudnn
         assert t_wg < t_fbfft
         assert 1.2 < t_cudnn / t_wg < 4.0
@@ -74,8 +75,8 @@ class TestWhatIfPerformance:
         """With c = 3 the transforms dominate and plain cuDNN keeps
         winning — Winograd is not a free lunch."""
         cfg = BASE_CONFIG.scaled(kernel_size=3)
-        assert (get_implementation("cudnn").time_iteration(cfg)
-                < wg.time_iteration(cfg))
+        assert (evaluate(get_implementation("cudnn"), cfg).time_s
+                < evaluate(wg, cfg).time_s)
 
     def test_kernel_plan_structure(self, wg):
         names = [s.name for s in wg.kernel_plan(VGG_LAYER)]

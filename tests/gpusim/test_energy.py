@@ -65,7 +65,7 @@ class TestIterationEnergy:
         for name in ("fbfft", "cudnn", "caffe", "theano-fft"):
             impl = get_implementation(name)
             p = impl.profile_iteration(BASE_CONFIG)
-            rep = iteration_energy(K40C, p.profiler.timings())
+            rep = iteration_energy(K40C, p.profiler.executions)
             effs[name] = rep.images_per_joule(BASE_CONFIG.batch)
         assert effs["fbfft"] > 2 * effs["cudnn"] > 2 * effs["theano-fft"]
 

@@ -53,8 +53,9 @@ class TestWeightedSummary:
         assert s_top1.runtime_s == pytest.approx(s_all.runtime_s)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_summary([])
+        for aggregate in (weighted_summary, runtime_shares, kernel_shares):
+            with pytest.raises(ValueError):
+                aggregate([])
 
     def test_bad_top_n(self, timings):
         with pytest.raises(ValueError):

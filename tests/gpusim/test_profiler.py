@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProfilerError
 from repro.gpusim.device import K40C
 from repro.gpusim.kernels import KernelRole, KernelSpec, LaunchConfig
+from repro.gpusim.metrics import runtime_shares
 from repro.gpusim.profiler import Profiler
 from repro.gpusim.transfer import TransferKind
 
@@ -52,33 +53,14 @@ class TestSession:
 
 
 class TestQueries:
-    def test_summary_requires_data(self):
-        with pytest.raises(ProfilerError):
-            Profiler(K40C).summary()
-
-    def test_hotspots_require_data(self):
-        with pytest.raises(ProfilerError):
-            Profiler(K40C).hotspot_roles()
-        with pytest.raises(ProfilerError):
-            Profiler(K40C).hotspot_kernels()
-
     def test_hotspot_roles_grouping(self):
         prof = Profiler(K40C)
         prof.launch(spec("g1", 5e10, KernelRole.GEMM))
         prof.launch(spec("g2", 5e10, KernelRole.GEMM))
         prof.launch(spec("t", 1e8, KernelRole.TRANSPOSE))
-        roles = prof.hotspot_roles()
+        roles = runtime_shares(prof.executions)
         assert roles["GEMM"] > roles["transpose"]
         assert sum(roles.values()) == pytest.approx(1.0)
-
-    def test_top_kernels_sorted(self):
-        prof = Profiler(K40C)
-        prof.launch(spec("small", 1e8))
-        prof.launch(spec("big", 1e11))
-        top = prof.top_kernels(1)
-        assert top[0].name == "big"
-        with pytest.raises(ValueError):
-            prof.top_kernels(0)
 
     def test_transfers_recorded(self):
         prof = Profiler(K40C)

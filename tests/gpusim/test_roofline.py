@@ -80,5 +80,5 @@ class TestSummarise:
         from repro.config import BASE_CONFIG
         from repro.frameworks.registry import get_implementation
         prof = get_implementation("cudnn").profile_iteration(BASE_CONFIG)
-        s = summarise(K40C, prof.profiler.timings())
+        s = summarise(K40C, prof.profiler.executions)
         assert 0.15 < s.flops_utilisation < 0.9

@@ -20,13 +20,17 @@ def traced_obs():
                          registry=MetricsRegistry())
 
 
+def iteration_root(tracer):
+    (root,) = [s for s in tracer.roots if s.name == "nn.iteration"]
+    return root
+
+
 class TestModelBreakdownTracing:
     def test_iteration_span_tree(self):
         obs = traced_obs()
         with obs_session(obs):
             costs = model_breakdown(lenet5(rng=0), SHAPE)
-        (root,) = obs.tracer.roots
-        assert root.name == "nn.iteration"
+        root = iteration_root(obs.tracer)
         assert root.attrs["model"] == "Sequential"
         assert root.attrs["implementation"] == "cuDNN"
         assert root.attrs["layers"] == len(costs)
@@ -38,12 +42,18 @@ class TestModelBreakdownTracing:
             [c.layer.name for c in costs]
         assert [s.attrs["layer"] for s in bwd] == \
             [c.layer.name for c in reversed(costs)]
+        # Each conv layer's time is one evaluation through the cache;
+        # nothing else sits beside the iteration tree.
+        evals = [s for s in obs.tracer.roots if s.name == "evalcache.evaluate"]
+        convs = [c for c in costs if c.layer_type == "Conv"]
+        assert len(evals) == len(convs) == 2
+        assert len(obs.tracer.roots) == 1 + len(evals)
 
     def test_spans_consume_simulated_time(self):
         obs = traced_obs()
         with obs_session(obs):
             costs = model_breakdown(lenet5(rng=0), SHAPE)
-        (root,) = obs.tracer.roots
+        root = iteration_root(obs.tracer)
         total = sum(c.time_s for c in costs)
         assert root.duration_s == pytest.approx(total)
         fwd = [s for s in root.children if s.name == "nn.forward"]

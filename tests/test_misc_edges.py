@@ -127,10 +127,11 @@ class TestWorkloadValidation:
 class TestTransferOpDataclass:
     def test_iteration_profile_fraction_zero_division_guard(self):
         from repro.config import BASE_CONFIG
-        from repro.frameworks.base import IterationProfile
-        from repro.gpusim.profiler import Profiler
-        p = IterationProfile(implementation="x", config=BASE_CONFIG,
-                             profiler=Profiler(), gpu_time_s=0.0,
-                             transfer_time_s=0.0, exposed_transfer_s=0.0,
-                             total_time_s=0.0)
-        assert p.transfer_fraction == 0.0
+        from repro.core.evalcache import EvalRecord
+        r = EvalRecord(implementation="x", paper_name="x",
+                       config=BASE_CONFIG, device="Tesla K40c",
+                       supported=True, time_s=0.0, gpu_time_s=0.0,
+                       transfer_time_s=0.0, exposed_transfer_s=0.0,
+                       peak_memory_bytes=0, oom=False, oom_bytes=None,
+                       kernels=())
+        assert r.transfer_fraction == 0.0
