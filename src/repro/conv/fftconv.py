@@ -13,9 +13,11 @@ backward-input pass is a full convolution whose result length is
 exactly ``i``, so the same ``n`` works for all three passes — one
 reason FFT implementations keep every operand padded to a common
 transform size.  Like the real fbfft, transform sizes round up to a
-cheap FFT length (fbfft: powers of two, the cause of the Fig. 5 memory
-fluctuations; here ``scipy.fft.next_fast_len`` by default with a
-power-of-two mode for the fbfft adapter).
+cheap FFT length (:func:`fast_len`: powers of two for fbfft, the cause
+of the Fig. 5 memory fluctuations, else cuFFT's 2/3/5/7-smooth
+lengths).  The performance model
+(:mod:`repro.frameworks.fft_model`) charges transforms of the same
+sizes through the same function.
 
 Stride: FFT convolution computes every output position, so strides
 other than 1 are rejected — the shape limitation of Fig. 3(e).
@@ -27,7 +29,6 @@ import threading
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from ..errors import ShapeError
 from .common import add_bias, check_conv_args, pad_input, unpad_input
@@ -40,6 +41,22 @@ def _check_stride(stride: int) -> None:
         )
 
 
+def fast_len(n: int, pow2: bool = False) -> int:
+    """Smallest cheap FFT length >= ``n``: the next power of two with
+    ``pow2`` (fbfft), else the next 2/3/5/7-smooth length (cuFFT's
+    fast radices, used by Theano-fft)."""
+    if pow2:
+        return 1 << (n - 1).bit_length()
+    while True:
+        m = n
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def transform_size(input_size: int, kernel_size: int,
                    pow2: bool = False) -> int:
     """FFT size used for an ``i x i`` input and ``k x k`` kernel."""
@@ -49,10 +66,7 @@ def transform_size(input_size: int, kernel_size: int,
         raise ShapeError(
             f"kernel {kernel_size} larger than input {input_size}"
         )
-    n = input_size
-    if pow2:
-        return 1 << (n - 1).bit_length()
-    return sfft.next_fast_len(n)
+    return fast_len(input_size, pow2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..config import ConvConfig
-from ..frameworks.base import ConvImplementation
+from ..frameworks.base import ConvImplementation, Strategy
 from ..frameworks.registry import all_implementations
 from ..gpusim.device import DeviceSpec, K40C
 from ..obs.context import get_obs
 from .evalcache import CacheArg, evaluate
+
+#: The rationale's clause for a winning strategy, given only when an
+#: FFT implementation was feasible (so the two strategies competed).
+_STRATEGY_CLAUSES = {
+    Strategy.FFT: "FFT-based convolution wins here (its cost barely "
+                  "grows with kernel size)",
+    Strategy.UNROLLING: "unrolling wins here (the FFT transforms and "
+                        "padding cost more than they save)",
+}
 
 
 @dataclass(frozen=True)
@@ -153,10 +162,10 @@ class Advisor:
                                   best=None,
                                   rationale="no implementation satisfies the "
                                             "constraints")
-        best = feasible[0]
-        rationale = self._rationale(config, best, memory_budget)
+        rationale = self._rationale(config, feasible, memory_budget)
         return Recommendation(config=config, candidates=candidates,
-                              best=best.implementation, rationale=rationale)
+                              best=feasible[0].implementation,
+                              rationale=rationale)
 
     def plan(self, config: ConvConfig,
              memory_budget: Optional[int] = None,
@@ -191,17 +200,20 @@ class Advisor:
                                 peak_memory_bytes=c.peak_memory_bytes)
                      for c in candidates if c.feasible)
 
-    def _rationale(self, config: ConvConfig, best: Candidate,
+    def _rationale(self, config: ConvConfig, feasible: List[Candidate],
                    memory_budget: Optional[int]) -> str:
+        """Explain the pick (``feasible[0]``): the strategy clause comes
+        from the winner's strategy, not from a kernel-size threshold."""
+        strategy = {impl.paper_name: impl.strategy
+                    for impl in self.implementations}
+        best = feasible[0]
         parts = []
         if config.stride > 1:
             parts.append("stride > 1 rules out the FFT implementations")
-        if config.kernel_size >= 7:
-            parts.append("large kernels favour FFT-based convolution "
-                         "(lower arithmetic complexity)")
-        elif config.kernel_size < 7:
-            parts.append("small kernels favour unrolling (FFT padding "
-                         "overhead dominates)")
+        winner = strategy[best.implementation]
+        if winner in _STRATEGY_CLAUSES and any(
+                strategy[c.implementation] is Strategy.FFT for c in feasible):
+            parts.append(_STRATEGY_CLAUSES[winner])
         if memory_budget is not None and memory_budget < 4 * 2**30:
             parts.append("a tight memory budget favours direct convolution "
                          "(no workspace)")

@@ -41,6 +41,7 @@ from typing import Dict, Optional, Tuple, Union
 from ..config import ConvConfig
 from ..errors import DeviceOOMError
 from ..frameworks.base import ConvImplementation
+from ..gpusim.allocator import replay
 from ..gpusim.device import DEVICES, DeviceSpec, K40C, spec_digest
 from ..gpusim.metrics import MetricSummary, weighted_summary
 from ..obs.context import get_obs
@@ -81,11 +82,41 @@ class KernelRecord:
     shared_store_bank_conflicts: int
 
 
-_KERNEL_ROW_FIELDS = ("time_s", "achieved_occupancy", "ipc",
-                      "warp_execution_efficiency", "gld_efficiency",
-                      "gst_efficiency", "shared_efficiency",
-                      "shared_load_bank_conflicts",
-                      "shared_store_bank_conflicts", "name", "role")
+#: Marks a stored field as a number: an int or a float, not a bool.
+_NUMBER = (int, float)
+
+#: Stored kernel-row field -> its type, in the store's field order.
+_KERNEL_ROW_TYPES = {
+    "time_s": _NUMBER, "achieved_occupancy": _NUMBER, "ipc": _NUMBER,
+    "warp_execution_efficiency": _NUMBER, "gld_efficiency": _NUMBER,
+    "gst_efficiency": _NUMBER, "shared_efficiency": _NUMBER,
+    "shared_load_bank_conflicts": _NUMBER,
+    "shared_store_bank_conflicts": _NUMBER, "name": str, "role": str,
+}
+_KERNEL_ROW_FIELDS = tuple(_KERNEL_ROW_TYPES)
+
+#: Stored record field -> (its type, whether it may be None).
+_RECORD_TYPES = {
+    "implementation": (str, False), "paper_name": (str, False),
+    "device": (str, False), "supported": (bool, False),
+    "time_s": (_NUMBER, True), "gpu_time_s": (_NUMBER, True),
+    "transfer_time_s": (_NUMBER, True),
+    "exposed_transfer_s": (_NUMBER, True),
+    "peak_memory_bytes": (_NUMBER, True), "oom": (bool, False),
+    "oom_bytes": (_NUMBER, True),
+}
+
+
+def _typed(name: str, value, kind, optional: bool = False):
+    """``value`` when it has its stored field's type (see
+    :data:`_RECORD_TYPES`); raises ``ValueError`` otherwise."""
+    if value is None and optional:
+        return value
+    if (isinstance(value, bool) and kind is not bool) or \
+            not isinstance(value, kind):
+        raise ValueError(f"stored field {name!r} has the wrong type: "
+                         f"{value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -161,21 +192,20 @@ class EvalRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalRecord":
-        return cls(
-            implementation=d["implementation"],
-            paper_name=d["paper_name"],
-            config=ConvConfig(**d["config"]),
-            device=d["device"],
-            supported=d["supported"],
-            time_s=d["time_s"],
-            gpu_time_s=d["gpu_time_s"],
-            transfer_time_s=d["transfer_time_s"],
-            exposed_transfer_s=d["exposed_transfer_s"],
-            peak_memory_bytes=d["peak_memory_bytes"],
-            oom=d["oom"],
-            oom_bytes=d["oom_bytes"],
-            kernels=tuple(KernelRecord(**k) for k in d["kernels"]),
-        )
+        """Rebuild a stored record, checking every field's type (the
+        config's seven ints are checked by
+        :class:`~repro.config.ConvConfig`).  A mismatch raises
+        ``ValueError``, so :meth:`EvalCache.load` quarantines the
+        store instead of handing a consumer a string for a time."""
+        fields = {name: _typed(name, d[name], kind, optional)
+                  for name, (kind, optional) in _RECORD_TYPES.items()}
+        kernels = []
+        for row in _typed("kernels", d["kernels"], list):
+            for name, value in _typed("kernel row", row, dict).items():
+                _typed(name, value, _KERNEL_ROW_TYPES[name])
+            kernels.append(KernelRecord(**row))
+        return cls(config=ConvConfig(**_typed("config", d["config"], dict)),
+                   kernels=tuple(kernels), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +378,8 @@ class EvalCache:
         """Merge records from a JSON store; returns how many loaded.
 
         A store that cannot be trusted — truncated or corrupt JSON,
-        malformed records, or a different ``EVALCACHE_VERSION`` — is
+        malformed records, a value of the wrong type, or a different
+        ``EVALCACHE_VERSION`` — is
         *quarantined*: renamed to ``<path>.bad`` with a warning, and
         the cache warm-starts empty.  A damaged disk store must never
         crash a run (nor silently keep resurfacing on every run).
@@ -464,14 +495,14 @@ class DispatchMemo:
     """In-process memo of a batch's device memory plan.
 
     The serving scheduler's dispatch loop re-derives the same memory
-    plan — ``impl.memory_plan(config)`` plus per-buffer 512-byte
-    rounding — for the same ``(shape, batch, implementation, device)``
-    point on every batch; a million-request run repeats a few dozen
-    points hundreds of thousands of times.  This memo caches the
-    *rounded* buffer sizes (and their sum) so a memo hit replays the
-    allocation episode through
+    plan — ``impl.memory_plan(config)`` — for the same ``(shape, batch,
+    implementation, device)`` point on every batch; a million-request
+    run repeats a few dozen points hundreds of thousands of times.
+    This memo caches the plan's buffers with their footprint, as
+    :func:`~repro.gpusim.allocator.replay` computes it from zero, so a
+    memo hit charges the allocation episode through
     :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-    without touching the adapter or constructing buffers.
+    without touching the adapter.
 
     Keys carry a *fault-window epoch* (the serving plan cache's
     corruption count): a fault plan that corrupts cached plans bumps
@@ -484,7 +515,7 @@ class DispatchMemo:
     """
 
     def __init__(self) -> None:
-        self._store: Dict[tuple, Tuple[Tuple[int, ...], int]] = {}
+        self._store: Dict[tuple, Tuple[Tuple[Tuple[str, int], ...], int]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -505,8 +536,10 @@ class DispatchMemo:
         }
 
     def memory_plan(self, key: tuple, impl: ConvImplementation,
-                    config: ConvConfig) -> Tuple[Tuple[int, ...], int]:
-        """``(rounded_sizes, total_rounded)`` for one dispatch point.
+                    config: ConvConfig
+                    ) -> Tuple[Tuple[Tuple[str, int], ...], int]:
+        """``(plan, total)`` for one dispatch point: the memory plan's
+        ``(tag, size)`` buffers and their footprint from zero.
 
         ``key`` is the caller's full memo key — shape, batch,
         implementation, device and epoch; ``impl``/``config`` are only
@@ -515,12 +548,8 @@ class DispatchMemo:
         entry = self._store.get(key)
         if entry is None:
             self.misses += 1
-            from ..gpusim.allocator import ALLOC_GRANULARITY
-            # Identical rounding expression to DeviceAllocator.alloc().
-            sizes = tuple(
-                math.ceil(size / ALLOC_GRANULARITY) * ALLOC_GRANULARITY
-                for _tag, size in impl.memory_plan(config) if size > 0)
-            entry = self._store[key] = (sizes, sum(sizes))
+            plan = tuple(impl.memory_plan(config))
+            entry = self._store[key] = (plan, replay(plan, 0, math.inf))
         else:
             self.hits += 1
         return entry

@@ -2,7 +2,8 @@
 
 Fig. 5 reports a single number per configuration — the peak.  This
 extension replays each implementation's allocation *sequence* through
-the device allocator and records the footprint after every event, so
+the allocation rule (:func:`~repro.gpusim.allocator.replay`), one
+buffer at a time, and records the footprint after every event, so
 one can see *when* the peak happens (e.g. fbfft's spectra allocations
 stacking up before the first FFT, or the unrolling family's column
 buffer appearing per pass) and how far below the 12 GB ceiling each
@@ -12,12 +13,12 @@ phase sits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from ..config import ConvConfig
 from ..errors import DeviceOOMError
 from ..frameworks.base import ConvImplementation
-from ..gpusim.allocator import DeviceAllocator
+from ..gpusim.allocator import replay
 from ..gpusim.device import DeviceSpec, K40C
 from .report import table
 
@@ -66,27 +67,28 @@ def memory_timeline(impl: ConvImplementation, config: ConvConfig,
                     device: DeviceSpec = K40C) -> MemoryTimeline:
     """Replay one implementation's allocations, event by event."""
     impl.check_config(config)
-    allocator = DeviceAllocator(device, baseline=0)
+    capacity = device.global_memory_bytes
+    in_use = 0
     events: List[MemoryEvent] = []
     oom = False
     for tag, size in impl.memory_plan(config):
         if size <= 0:
             continue
         try:
-            allocator.alloc(size, tag=tag)
+            in_use = replay(((tag, size),), in_use, capacity)
         except DeviceOOMError:
             oom = True
             events.append(MemoryEvent(tag=f"{tag} (OOM)", size_bytes=size,
-                                      in_use_bytes=allocator.in_use))
+                                      in_use_bytes=in_use))
             break
         events.append(MemoryEvent(tag=tag, size_bytes=size,
-                                  in_use_bytes=allocator.in_use))
+                                  in_use_bytes=in_use))
     return MemoryTimeline(
         implementation=impl.paper_name,
         config=config,
         events=events,
-        peak_bytes=allocator.peak,
-        capacity_bytes=device.global_memory_bytes,
+        peak_bytes=in_use,
+        capacity_bytes=capacity,
         oom=oom,
     )
 

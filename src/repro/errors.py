@@ -99,8 +99,8 @@ class ServerClosedError(ReproError, RuntimeError):
 
 
 class AllocationError(ReproError, ValueError):
-    """Misuse of the device allocator (double free, freeing an unknown
-    buffer, negative sizes)."""
+    """Misuse of the device allocator (a negative baseline, or one
+    larger than the device)."""
 
 
 class ProfilerError(ReproError, RuntimeError):

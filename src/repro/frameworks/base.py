@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ConvConfig
-from ..errors import DeviceOOMError, UnsupportedConfigError
-from ..gpusim.allocator import ALLOC_GRANULARITY
+from ..errors import UnsupportedConfigError
+from ..gpusim.allocator import replay
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.kernels import KernelSpec
 from ..gpusim.profiler import Profiler
@@ -176,22 +176,13 @@ class ConvImplementation(abc.ABC):
                           device: DeviceSpec = K40C) -> int:
         """Peak device footprint (the Fig. 5 / nvidia-smi quantity).
 
-        Replays the memory plan with the allocator's exact arithmetic
-        (granularity rounding, baseline context, OOM check per buffer)
-        inlined: the plan is allocate-only, so the peak is the running
-        total and the full :class:`DeviceAllocator` bookkeeping —
-        buffer handles, live tables — is dead weight on this hot path.
-        ``DeviceOOMError`` carries the same fields either way.
+        The memory plan allocated through the allocation rule
+        (:func:`~repro.gpusim.allocator.replay`) on top of the CUDA
+        context; raises :class:`~repro.errors.DeviceOOMError` at the
+        first buffer that does not fit the device.
         """
-        in_use = CONTEXT_BYTES
-        capacity = device.global_memory_bytes
-        for _, size in self.memory_plan(config):
-            if size > 0:
-                rounded = -(-size // ALLOC_GRANULARITY) * ALLOC_GRANULARITY
-                if in_use + rounded > capacity:
-                    raise DeviceOOMError(rounded, in_use, capacity)
-                in_use += rounded
-        return in_use
+        return replay(self.memory_plan(config), CONTEXT_BYTES,
+                      device.global_memory_bytes)
 
     def transfer_ops(self, config: ConvConfig) -> List[TransferOp]:
         """Host<->device copies of one training iteration.  Default:

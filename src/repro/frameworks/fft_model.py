@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ..config import ConvConfig
+from ..conv.fftconv import fast_len
 from .calibration import COMPLEX_ITEMSIZE, FftCalibration
 
 
@@ -32,36 +33,23 @@ def transform_size(cal: FftCalibration, padded_input: int) -> int:
 
     A valid correlation needs ``n >= i`` (no wrap-around reaches the
     first ``o`` outputs); fbfft rounds to the next power of two, cuFFT
-    to the next 2/3/5/7-smooth length.
+    to the next 2/3/5/7-smooth length — the rule the numerics
+    (:func:`repro.conv.fftconv.fast_len`) transform at.
     """
     if padded_input <= 0:
         raise ValueError(f"padded_input must be positive, got {padded_input}")
-    n = padded_input
-    if cal.pow2_padding:
-        return 1 << (n - 1).bit_length()
-    return _next_fast_len(n)
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest 2/3/5/7-smooth integer >= n (cuFFT-friendly sizes)."""
-    while True:
-        m = n
-        for p in (2, 3, 5, 7):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
+    return fast_len(padded_input, cal.pow2_padding)
 
 
 def fft2_flops(n: int) -> float:
     """FLOPs of one 2-D real-to-complex FFT of size n x n.
 
     A complex n-point FFT costs ~5 n log2 n; a 2-D transform is 2n
-    1-D transforms; the real-to-complex optimisation halves it.
+    1-D transforms; the real-to-complex optimisation halves it.  A
+    1-point transform is the identity and costs nothing.
     """
-    if n <= 1:
-        raise ValueError(f"n must be > 1, got {n}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     return 5.0 * n * n * math.log2(n * n) / 2.0
 
 

@@ -15,8 +15,9 @@ paper's profiling pins down:
 * **2 registers/thread** (Table II): no unrolling at all, so high
   occupancy (39-59 %) yet the worst performance — the paper's
   counter-example that occupancy does not imply speed;
-* cuFFT-style smooth transform sizes (``next_fast_len``), so its
-  memory fluctuates with kernel size in Fig. 5(d);
+* cuFFT-style 2/3/5/7-smooth transform sizes
+  (:func:`~repro.conv.fftconv.fast_len`), so its memory fluctuates
+  with kernel size in Fig. 5(d);
 * stride must be 1, like every FFT convolution.
 """
 

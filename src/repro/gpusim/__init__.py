@@ -18,8 +18,10 @@ that description into the quantities nvprof reports:
   execution efficiency*;
 * :mod:`~repro.gpusim.timing` — a roofline engine with
   occupancy-dependent latency hiding → kernel *runtime* and *IPC*;
-* :mod:`~repro.gpusim.allocator` — device memory with peak tracking →
-  the Fig. 5 memory-usage numbers and OOM behaviour;
+* :mod:`~repro.gpusim.allocator` — the allocation rule
+  (:func:`~repro.gpusim.allocator.replay`: 512-byte rounding, then a
+  capacity and a pressure check per buffer) and a device's peak
+  footprint → the Fig. 5 memory-usage numbers and OOM behaviour;
 * :mod:`~repro.gpusim.transfer` — the PCIe bus, pinned/pageable
   bandwidth, and the closed-form async copy/compute overlap
   (:func:`~repro.gpusim.transfer.exposed_transfer_time`) → the Fig. 7

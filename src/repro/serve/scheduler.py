@@ -285,8 +285,8 @@ class Server:
         batch, implementation, device and the plan-cache corruption
         epoch) and is replayed through
         :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`,
-        which charges the same peak and raises the same error at the
-        same buffer as allocating and freeing every buffer would.
+        which allocates it through the allocation rule on top of the
+        device baseline and frees it again.
 
         Raises :class:`_RetriesExhausted` when the budget burns out
         (the caller falls back to the next-ranked plan) and
@@ -299,7 +299,7 @@ class Server:
         clock = self.clock
         injector = self._injector
         tracer = self.obs.tracer
-        sizes, total = self._memo.memory_plan(
+        buffers, total = self._memo.memory_plan(
             (requests[0].key, padded, impl_name, self._device_key,
              self.plan_cache.corruptions),
             impl, config)
@@ -309,7 +309,7 @@ class Server:
                          batch=padded, fill=fill) as sp:
             attempts = 0
             while True:
-                allocator.replay_transient(sizes, total)
+                peak = allocator.replay_transient(buffers, total)
                 if injector is None:
                     break
                 try:
@@ -344,9 +344,8 @@ class Server:
             if injector is not None:
                 self._breaker.record_success(impl_name)
             if self._record_timeline:
-                in_use = allocator.in_use
-                self.memory_timeline += ((start, in_use + total),
-                                         (finish, in_use))
+                self.memory_timeline += ((start, peak),
+                                         (finish, allocator.baseline))
             if tracer.recording:
                 self._kernel_leaves(tracer, impl, config, start, finish)
         stats.record_dispatch(requests, start, finish, padded, fill,

@@ -19,14 +19,28 @@ class TestTransformSize:
         assert transform_size(129, 3, pow2=True) == 256
 
     def test_fast_len_mode_smooth(self):
-        n = transform_size(97, 3)
-        # 2/3/5/7-smooth and >= 97
-        assert n >= 97
-        m = n
-        for p in (2, 3, 5, 7):
-            while m % p == 0:
-                m //= p
-        assert m == 1
+        """The smallest 2/3/5/7-smooth length >= i, for every i."""
+        def smooth(n):
+            for p in (2, 3, 5, 7):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for i in range(1, 600):
+            n = transform_size(i, 1)
+            assert n >= i and smooth(n), i
+            assert not any(smooth(m) for m in range(i, n)), i
+
+    @pytest.mark.parametrize("name", ["fbfft", "theano-fft"])
+    def test_numerics_transform_at_the_modelled_size(self, name):
+        """The numerics and the performance model share one rule."""
+        from repro.frameworks import fft_model
+        from repro.frameworks.calibration import FFT_CALIBRATION
+
+        cal = FFT_CALIBRATION[name]
+        for i in range(1, 600):
+            assert (transform_size(i, 1, pow2=cal.pow2_padding)
+                    == fft_model.transform_size(cal, i)), i
 
     def test_rejects_kernel_bigger_than_input(self):
         with pytest.raises(ShapeError):

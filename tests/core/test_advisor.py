@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.config import BASE_CONFIG, ConvConfig
+from repro.config import BASE_CONFIG, SWEEPS, ConvConfig, sweep_configs
 from repro.core.advisor import Advisor
+from repro.frameworks.base import Strategy
+from repro.frameworks.registry import all_implementations
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +90,27 @@ class TestPlan:
         from repro.core.advisor import RankedPlan
         with pytest.raises(ValueError):
             RankedPlan(implementation="x", time_s=0.0, peak_memory_bytes=0)
+
+
+FIG3_POINTS = [config for sweep in SWEEPS for config in sweep_configs(sweep)]
+
+
+class TestRationale:
+    STRATEGY = {impl.paper_name: impl.strategy
+                for impl in all_implementations()}
+    #: How a rationale names each strategy.
+    NAMES = {Strategy.FFT: "FFT-based convolution",
+             Strategy.UNROLLING: "unrolling",
+             Strategy.DIRECT: "direct convolution"}
+
+    @pytest.mark.parametrize("config", FIG3_POINTS, ids=str)
+    def test_clause_names_the_winner_strategy(self, advisor, config):
+        """The rationale names the winner's strategy, and no other,
+        whenever the FFT and another strategy competed."""
+        rec = advisor.recommend(config)
+        winner = self.STRATEGY[rec.best]
+        fft_feasible = any(self.STRATEGY[c.implementation] is Strategy.FFT
+                           for c in rec.candidates if c.feasible)
+        named = {s for s, name in self.NAMES.items() if name in rec.rationale}
+        competed = fft_feasible and winner is not Strategy.DIRECT
+        assert named == ({winner} if competed else set()), rec.rationale

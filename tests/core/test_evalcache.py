@@ -361,6 +361,64 @@ class TestQuarantine:
         assert cache.misses == 1
 
 
+#: (path into a stored record, a value of the wrong type for it).
+WRONG_TYPES = [
+    (("implementation",), 7), (("paper_name",), None), (("device",), 1.5),
+    (("supported",), "yes"), (("supported",), 1), (("oom",), None),
+    (("time_s",), "fast"), (("time_s",), True), (("gpu_time_s",), "1"),
+    (("transfer_time_s",), [0.0]), (("exposed_transfer_s",), {}),
+    (("peak_memory_bytes",), "big"), (("oom_bytes",), False),
+    (("config", "batch"), "64"), (("config", "input_size"), 128.0),
+    (("config", "filters"), True), (("config", "kernel_size"), None),
+    (("config", "stride"), "1"), (("config", "channels"), 3.0),
+    (("config", "padding"), False), (("config",), [64, 128]),
+    (("kernels",), {}), (("kernels", 0), "row"),
+] + [(("kernels", 0, field), value) for field, value in [
+    ("name", 3), ("role", None), ("time_s", "fast"),
+    ("achieved_occupancy", True), ("ipc", "2"),
+    ("warp_execution_efficiency", None), ("gld_efficiency", [1]),
+    ("gst_efficiency", "x"), ("shared_efficiency", {}),
+    ("shared_load_bank_conflicts", "0"),
+    ("shared_store_bank_conflicts", False)]]
+
+
+class TestValueTypes:
+    """A stored value of the wrong type quarantines the whole store, so
+    no consumer is handed, say, a string for a time."""
+
+    @pytest.mark.parametrize(
+        "path,value", WRONG_TYPES,
+        ids=[".".join(map(str, p)) + f"={v!r}" for p, v in WRONG_TYPES])
+    def test_wrong_type_quarantines(self, tmp_path, path, value):
+        from repro.core.advisor import Advisor
+
+        cache = EvalCache()
+        evaluate(resolve_implementation("cudnn"), BASE_CONFIG, cache=cache)
+        store = str(tmp_path / "store.json")
+        cache.save(store)
+        with open(store) as fh:
+            payload = json.load(fh)
+        (node,) = payload["records"].values()
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with open(store, "w") as fh:
+            json.dump(payload, fh)
+        with pytest.warns(UserWarning, match="quarantined"):
+            loaded = EvalCache(path=store)
+        assert len(loaded) == 0
+        assert os.path.exists(store + ".bad")
+        rec = Advisor(cache=loaded).recommend(BASE_CONFIG)
+        assert rec.best == "fbfft"
+
+    def test_every_stored_field_is_covered(self, cudnn):
+        record = compute_record(cudnn, SMALL).to_dict()
+        covered = {p for p, _ in WRONG_TYPES}
+        assert {(f,) for f in record} <= covered
+        assert {("config", f) for f in record["config"]} <= covered
+        assert {("kernels", 0, f) for f in record["kernels"][0]} <= covered
+
+
 class TestOnePath:
     """Every model run behind the report, the calibration headlines and
     the audit is a cache-miss computation of :func:`evaluate`."""

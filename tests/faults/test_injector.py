@@ -1,12 +1,14 @@
 """The injector: seeded draws, observer wiring, counters."""
 
+import math
+
 import pytest
 
 from repro.errors import MemoryPressureError, TransientKernelError
 from repro.faults import (CacheCorruptionSpec, FaultInjector, FaultPlan,
                           MemoryPressureSpec, StragglerSpec,
                           TransientFaultSpec, TOP_RANKED)
-from repro.gpusim.allocator import DeviceAllocator
+from repro.gpusim.allocator import DeviceAllocator, replay
 from repro.gpusim.device import K40C
 from repro.gpusim.kernels import replay_cost_s
 from repro.gpusim.timing import SimClock
@@ -94,12 +96,13 @@ class TestPressureAndStragglers:
         clock = SimClock()
         alloc = DeviceAllocator(K40C)
         inj.install(clock, allocator=alloc)
-        big = K40C.global_memory_bytes - 2**29   # fits, unless squeezed
-        buf = alloc.alloc(big)
-        alloc.free(buf)
+        # Fits, unless squeezed.
+        plan = [("big", K40C.global_memory_bytes - 2**29)]
+        total = replay(plan, 0, math.inf)
+        alloc.replay_transient(plan, total)
         clock.advance_to(1.0)                    # inside the 1 GiB squeeze
         with pytest.raises(MemoryPressureError) as exc:
-            alloc.alloc(big)
+            alloc.replay_transient(plan, total)
         assert exc.value.reserved == 2**30
 
 

@@ -1,11 +1,17 @@
 """Memory-plan tests (the Fig. 5 substrate)."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import BASE_CONFIG, ConvConfig
 from repro.errors import DeviceOOMError
 from repro.frameworks import all_implementations, get_implementation
+from repro.frameworks.calibration import CONTEXT_BYTES
 from repro.gpusim.device import K40C
+
+from ..gpusim.allocator_oracle import episode, error_fields
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +125,41 @@ class TestMemoryPlanContents:
         torch_plan = dict(get_implementation("torch-cunn").memory_plan(BASE_CONFIG))
         assert "input_grad" in caffe_plan and "output_grad" in caffe_plan
         assert "input_grad" not in torch_plan
+
+
+@st.composite
+def configs(draw):
+    kernel = draw(st.integers(1, 13))
+    padding = draw(st.integers(0, 2))
+    return ConvConfig(batch=draw(st.integers(1, 2048)),
+                      input_size=draw(st.integers(max(1, kernel - 2 * padding),
+                                                  288)),
+                      filters=draw(st.integers(1, 512)),
+                      kernel_size=kernel,
+                      stride=draw(st.integers(1, 4)),
+                      channels=draw(st.integers(1, 64)),
+                      padding=padding)
+
+
+class TestPeakMatchesOracle:
+    """The Fig. 5 peak is the memory plan allocated buffer by buffer on
+    top of the CUDA context: the same peak as the per-buffer oracle,
+    or the same out-of-memory error at the same buffer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=configs(),
+           capacity=st.integers(2**28, K40C.global_memory_bytes))
+    def test_peak_or_error_matches_oracle(self, config, capacity):
+        device = replace(K40C, global_memory_bytes=capacity)
+        for impl in all_implementations():
+            if not impl.supports(config):
+                continue
+            peak, _, error = episode(impl.memory_plan(config), capacity,
+                                     baseline=CONTEXT_BYTES)
+            try:
+                got = impl.peak_memory_bytes(config, device)
+            except DeviceOOMError as err:
+                assert error_fields(err) == error_fields(error), impl.name
+            else:
+                assert error is None, impl.name
+                assert got == peak, impl.name

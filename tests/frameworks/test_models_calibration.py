@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import BASE_CONFIG
+from repro.config import BASE_CONFIG, ConvConfig
 from repro.frameworks.calibration import (FFT_CALIBRATION, GEMM_CALIBRATION,
                                           TABLE2_RESOURCES, GemmCalibration)
 from repro.frameworks.fft_model import (fft2_flops, iteration_workload,
@@ -62,6 +62,17 @@ class TestGemmModel:
 class TestFftModel:
     def test_fft2_flops_positive_and_growing(self):
         assert fft2_flops(64) < fft2_flops(128) < fft2_flops(256)
+
+    def test_one_point_transform_is_free(self):
+        """A 1 x 1 input transforms at n = 1, which every FFT
+        implementation accepts."""
+        assert fft2_flops(1) == 0.0
+        with pytest.raises(ValueError):
+            fft2_flops(0)
+        for name in ("fbfft", "theano-fft"):
+            iteration_workload(FFT_CALIBRATION[name],
+                               ConvConfig(batch=1, input_size=1, filters=1,
+                                          kernel_size=1, stride=1))
 
     def test_transform_size_pow2(self):
         cal = FFT_CALIBRATION["fbfft"]
