@@ -18,10 +18,13 @@ Run as a script (``python benchmarks/bench_cluster.py``) it writes
 first reads the report digests recorded in the artifact (or in
 ``cluster_million_chaos.json`` under ``--million``): when the recorded
 run used the same workload, every digest must come out unchanged — the
-same-seed gate that lets the fleet loop be rewritten safely.  A run
-that fails any gate leaves the artifacts untouched, so re-baselining
-is a deliberate act (delete the artifact, then run).  ``--quick``
-runs a smaller workload through the other gates and writes nothing.
+same-seed gate that lets the fleet loop be rewritten safely.  The
+artifacts are written only when none exists or the recorded workload
+differs: a run that fails a gate leaves them untouched, and so does one
+that reproduces the recorded digests (it prints its fresh host wall
+times instead).  Re-baselining, new host walls included, is a
+deliberate act: delete the artifact, then run.  ``--quick`` runs a
+smaller workload through the other gates and writes nothing.
 Under pytest it runs in quick mode and asserts the same gates.
 """
 
@@ -208,15 +211,20 @@ def check_digests(digests: dict, recorded: dict) -> list:
             if name in digests and digests[name] != recorded[name]]
 
 
-def finish(failures: list, artifacts: dict) -> int:
+def finish(failures: list, artifacts: dict, recorded: dict) -> int:
     """Report gate failures; write ``{path: text}`` only when there are
-    none, so a failing run never replaces its reference."""
+    none and nothing was ``recorded`` for this workload, so a failing
+    run never replaces its reference and a reproducing one leaves it
+    byte-for-byte as it was."""
     for failure in failures:
         print(f"GATE FAILED: {failure}", file=sys.stderr)
-    if failures:
+    if failures or recorded:
+        if not failures:
+            print("every report digest matches the recorded run; to "
+                  "record new host walls, delete the artifact and rerun")
         for path in artifacts:
             print(f"left {path} untouched")
-        return 1
+        return 1 if failures else 0
     RESULTS_DIR.mkdir(exist_ok=True)
     for path, text in artifacts.items():
         path.write_text(text)
@@ -338,18 +346,25 @@ def main(argv=None) -> int:
         failures = check_million_gates(payload) + check_digests(
             {"million": payload["digest"]}, recorded)
         return finish(failures, {
-            out: json.dumps(payload, indent=2, sort_keys=True) + "\n"})
+            out: json.dumps(payload, indent=2, sort_keys=True) + "\n"},
+            recorded)
 
     payload = run_benchmark(quick=args.quick)
     print(_render_text(payload) + "\n")
     out = RESULTS_DIR / "BENCH_cluster.json"
     comparison = payload["policy_comparison"]
+    recorded = recorded_digests(out, comparison["workload"])
     failures = check_gates(payload) + check_digests(
         {name: p["digest"] for name, p in comparison["policies"].items()},
-        recorded_digests(out, comparison["workload"]))
+        recorded)
+    if not args.quick:
+        print("host wall per policy: " + ", ".join(
+            f"{name} {p['host_wall_s']:.2f} s"
+            for name, p in comparison["policies"].items()))
     return finish(failures, {} if args.quick else {
         out: json.dumps(payload, indent=2) + "\n",
-        RESULTS_DIR / "cluster_policies.txt": _render_text(payload) + "\n"})
+        RESULTS_DIR / "cluster_policies.txt": _render_text(payload) + "\n"},
+        recorded)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ once per registered device, and archives the winner table.
 
 Gates:
 
-* the ``k40c`` column is byte-identical to ranking on the hand-built
-  calibrated spec (the registry adds no drift);
 * the paper's qualitative story holds on every Kepler/Maxwell-class
   device: cuDNN wins small kernels, fbfft wins large ones, stride > 1
   rules the FFT implementations out;
@@ -61,7 +59,7 @@ def run_sweep() -> dict:
     from repro.config import ConvConfig
     from repro.core.advisor import Advisor
     from repro.devices import default_registry, get_profile
-    from repro.gpusim.device import K40C, spec_digest
+    from repro.gpusim.device import spec_digest
 
     advisor = Advisor()     # one advisor + shared cache for every device
     registry = default_registry()
@@ -86,25 +84,10 @@ def run_sweep() -> dict:
             "digest": spec_digest(profile.spec),
             "scenarios": rows,
         }
-
-    # The legacy column: the same sweep on the hand-built constant.
-    legacy = {}
-    for label, kw in SCENARIOS:
-        rec = advisor.recommend(ConvConfig(**kw), device=K40C)
-        winner = next((c for c in rec.candidates
-                       if c.implementation == rec.best), None)
-        legacy[label] = {
-            "winner": rec.best,
-            "time_ms": round(winner.time_s * 1000, 4)
-                       if winner is not None else None,
-            "peak_memory_mb": round(winner.peak_memory_bytes / 2**20, 1)
-                       if winner is not None else None,
-        }
     return {
         "benchmark": "devices",
         "scenarios": [label for label, _ in SCENARIOS],
         "devices": devices,
-        "legacy_k40c": legacy,
     }
 
 
@@ -112,12 +95,7 @@ def check_gates(payload: dict) -> list:
     failures = []
     devices = payload["devices"]
 
-    # Gate 1: registry k40c == hand-built K40C, byte for byte.
-    if devices["k40c"]["scenarios"] != payload["legacy_k40c"]:
-        failures.append("k40c profile ranks differently from the "
-                        "hand-built calibrated spec")
-
-    # Gate 2: the paper's qualitative story on every device.
+    # Gate 1: the paper's qualitative story on every device.
     for name, entry in devices.items():
         rows = entry["scenarios"]
         if rows["k=3"]["winner"] != "cuDNN":
@@ -128,7 +106,7 @@ def check_gates(payload: dict) -> list:
             failures.append(f"{name}: an FFT implementation won a "
                             f"strided scenario")
 
-    # Gate 3: capability endpoints — Pascal is never beaten, the K20X
+    # Gate 2: capability endpoints — Pascal is never beaten, the K20X
     # never wins.
     for label in payload["scenarios"]:
         times = {name: entry["scenarios"][label]["time_ms"]
@@ -160,9 +138,6 @@ def _render_text(payload: dict) -> str:
             cells.append(f"{row['winner'] or '-':>13s} "
                          f"{row['time_ms']:8.2f}")
         lines.append(f"{label:10s} " + " ".join(cells))
-    lines.append("")
-    match = payload["devices"]["k40c"]["scenarios"] == payload["legacy_k40c"]
-    lines.append(f"registry k40c matches hand-built spec: {match}")
     return "\n".join(lines)
 
 

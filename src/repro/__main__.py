@@ -238,8 +238,8 @@ def cmd_devices(args) -> int:
 
 def _validate_devices() -> int:
     """``repro devices --validate``: schema-check every shipped profile
-    and byte-diff the legacy-named ones against the hand-built specs
-    (the CI ``devices-smoke`` job gates on this)."""
+    and round-trip each through its JSON form (the CI
+    ``devices-smoke`` job gates on this)."""
     import json
 
     from .devices import PROFILE_DIR, default_registry, selftest, \
@@ -271,7 +271,7 @@ def _validate_devices() -> int:
     if failures:
         print(f"validation FAILED with {failures} problem(s)")
         return 1
-    print("validation passed: schemas clean, legacy specs byte-identical")
+    print("validation passed: schemas clean, profiles round-trip")
     return 0
 
 
@@ -1035,9 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
         "devices", help="headline results across modelled GPUs")
     p_devices.add_argument("--validate", action="store_true",
                            help="schema-validate the shipped device "
-                                "profiles and byte-diff the legacy-named "
-                                "ones against the hand-built specs "
-                                "(CI gate)")
+                                "profiles and round-trip each through "
+                                "its JSON form (CI gate)")
     p_devices.set_defaults(fn=cmd_devices)
 
     p_audit = sub.add_parser(

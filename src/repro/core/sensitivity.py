@@ -74,9 +74,9 @@ def device_comparison(devices: Optional[Sequence[DeviceSpec]] = None
                       ) -> List[DeviceHeadlines]:
     """Headlines across the device zoo.
 
-    Defaults to the four hand-built specs, not ``DEVICES``: loading the
-    device-profile registry adds entries to that dict, and the table
-    must not depend on what ran earlier in the process.
+    Defaults to the four cards of the sensitivity study (the paper's
+    K40c, its K20X predecessor and the two Maxwell parts), not the
+    whole catalogue in :data:`~repro.gpusim.device.DEVICES`.
     """
     devices = list(devices) if devices else [K40C, K20X, TITAN_X, M40]
     return [headlines(d) for d in devices]

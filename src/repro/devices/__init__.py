@@ -1,8 +1,11 @@
 """Named device profiles and heterogeneous-fleet capacity planning.
 
-The devices subsystem turns the hand-built
-:class:`~repro.gpusim.device.DeviceSpec` constants into a declarative,
-versioned catalogue and threads device *identity* through the stack:
+The device catalogue is the shipped ``profiles/*.json`` documents, one
+per device (``k40c``, ``k20x``, ``maxwell``, ``m40``, ``pascal``).
+:mod:`repro.gpusim.device` reads their ``spec`` sections at import into
+:data:`~repro.gpusim.device.DEVICES`; this subsystem wraps those same
+spec objects with power and cost and threads device *identity* through
+the stack:
 
 * :mod:`repro.devices.profile` — :class:`DeviceProfile`: a spec plus
   power (TDP, idle fraction) and economics (cost/hour), with a
@@ -10,11 +13,9 @@ versioned catalogue and threads device *identity* through the stack:
 * :mod:`repro.devices.schema` — declarative validation of profile
   documents (:func:`validate_profile` accumulates every violation;
   :func:`ensure_valid` raises :class:`ProfileValidationError`);
-* :mod:`repro.devices.registry` — loads the shipped ``profiles/*.json``
-  (``k40c``, ``k20x``, ``maxwell``, ``m40``, ``pascal``), publishes
-  their specs into :data:`repro.gpusim.device.DEVICES`, and guarantees
-  the legacy-named profiles rebuild the hand-built specs exactly
-  (:func:`selftest`);
+* :mod:`repro.devices.registry` — loads the shipped profiles and looks
+  them up by slug or display name; :func:`selftest` round-trips each
+  through its JSON form;
 * :mod:`repro.devices.plan` — the capacity planner: sweep every fleet
   mix within ``--fleet`` ceilings through the cluster simulator and
   SLO engine, rank passing mixes cheapest first
@@ -22,7 +23,7 @@ versioned catalogue and threads device *identity* through the stack:
 
 Cache isolation: evaluation-cache and dispatch-memo keys carry
 :func:`~repro.gpusim.device.spec_digest`, so a plan computed for one
-device can never serve another — even one registered under the same
+device can never serve another — even a spec that reuses a catalogued
 display name with different numbers.
 """
 

@@ -8,8 +8,7 @@ a *unit of capacity*:
 * a short registry slug (``k40c``, ``maxwell``, ``pascal``) that CLI
   flags and fleet strings (``k40c:4,maxwell:2``) refer to;
 * board-power parameters (TDP and idle fraction) consumed by the
-  energy model (:mod:`repro.gpusim.energy`), previously a hard-coded
-  per-name table in that module;
+  energy model (:mod:`repro.gpusim.energy`);
 * a relative hourly cost, the objective the capacity planner
   (:mod:`repro.devices.plan`) minimises when ranking fleet mixes;
 * a profile ``version`` and a content :attr:`~DeviceProfile.digest`
@@ -18,58 +17,28 @@ a *unit of capacity*:
 Profiles are declarative: the shipped catalogue lives as JSON under
 ``repro/devices/profiles/`` (schema in :mod:`repro.devices.schema`),
 and :meth:`DeviceProfile.to_dict` / :meth:`DeviceProfile.from_dict`
-round-trip exactly — the ``k40c`` profile rebuilds a spec equal,
-field for field, to the hand-built :data:`~repro.gpusim.device.K40C`.
+round-trip exactly.  A profile of a shipped device wraps the very spec
+object :data:`repro.gpusim.device.DEVICES` holds for it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
-from typing import Dict
+from dataclasses import dataclass
 
-from ..gpusim.device import DeviceSpec, spec_digest
+from ..gpusim.device import (DEVICES, DeviceSpec, spec_digest, spec_from_dict,
+                             spec_to_dict)
 
 #: Bump when the profile document layout changes incompatibly.
 PROFILE_SCHEMA_VERSION = 1
 
-#: DeviceSpec field names, in declaration order (the canonical
-#: serialization order for profile documents and digests).
-SPEC_FIELDS = tuple(f.name for f in fields(DeviceSpec))
 
-#: DeviceSpec fields that are integral counts/sizes (the rest are
-#: floats: rates, bandwidths, seconds).
-_INT_SPEC_FIELDS = frozenset((
-    "sm_count", "cores_per_sm", "flops_per_core_cycle",
-    "global_memory_bytes", "registers_per_sm", "register_alloc_unit",
-    "max_registers_per_thread", "shared_memory_per_sm",
-    "shared_alloc_unit", "max_shared_per_block", "max_threads_per_sm",
-    "max_threads_per_block", "max_blocks_per_sm", "warp_size",
-    "shared_banks", "bank_width_bytes", "transaction_bytes",
-))
-
-
-def spec_to_dict(spec: DeviceSpec) -> Dict[str, object]:
-    """Every spec field as a JSON-ready mapping, declaration order."""
-    return {name: getattr(spec, name) for name in SPEC_FIELDS}
-
-
-def spec_from_dict(doc: Dict[str, object]) -> DeviceSpec:
-    """Rebuild a spec from :func:`spec_to_dict` output (or a validated
-    profile document's ``spec`` section).  Integral fields tolerate
-    JSON floats with integral values (``1.2884901888e9``-style
-    scientific notation), everything else coerces to float."""
-    kwargs = {}
-    for name in SPEC_FIELDS:
-        value = doc[name]
-        if name == "name":
-            kwargs[name] = str(value)
-        elif name in _INT_SPEC_FIELDS:
-            kwargs[name] = int(value)
-        else:
-            kwargs[name] = float(value)
-    return DeviceSpec(**kwargs)
+def _catalogued(spec: DeviceSpec) -> DeviceSpec:
+    """The catalogue's own object when ``spec`` is a shipped device, so
+    every profile of it wraps one spec (and its cached digest)."""
+    shipped = DEVICES.get(spec.name)
+    return shipped if shipped == spec else spec
 
 
 @dataclass(frozen=True)
@@ -155,7 +124,7 @@ class DeviceProfile:
             version=int(doc["version"]),
             description=doc["description"],
             source=doc.get("source", ""),
-            spec=spec_from_dict(doc["spec"]),
+            spec=_catalogued(spec_from_dict(doc["spec"])),
             tdp_w=float(power["tdp_w"]),
             idle_fraction=float(power["idle_fraction"]),
             cost_per_hour=float(doc["economics"]["cost_per_hour"]),

@@ -1,19 +1,11 @@
 """The device-profile registry.
 
 Loads every ``profiles/*.json`` document shipped with the package
-(schema-validated), exposes them by slug (``k40c``) *or* by the spec's
-full display name (``Tesla K40c``), and registers each profile's spec
-into :data:`repro.gpusim.device.DEVICES` so the rest of the stack —
-CLI ``--device`` choices, :func:`~repro.core.evalcache.cacheable`,
-cross-device sensitivity sweeps — sees registry devices and hand-built
-ones through the same map.
-
-Identity guarantee: for the devices that predate this subsystem
-(``k40c``, ``k20x``, ``maxwell``, ``m40``) the JSON profile rebuilds a
-spec *equal field-for-field* to the hand-built module constant, so
-registration replaces nothing and every existing report stays
-byte-identical.  :func:`repro.devices.selftest` (used by the CI
-``devices-smoke`` job) asserts exactly this.
+(schema-validated) and exposes the profiles by slug (``k40c``) *or* by
+the spec's full display name (``Tesla K40c``).  The specs come from
+:data:`repro.gpusim.device.DEVICES`, which reads the same documents at
+import: each shipped profile wraps the very spec object ``DEVICES``
+holds (``get_profile("k40c").spec is K40C``) and adds power and cost.
 
 Use the module-level helpers (:func:`get_profile`,
 :func:`resolve_device`, :func:`profile_names`) against the shared
@@ -24,17 +16,13 @@ tests that need an isolated catalogue.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from ..gpusim import device as _device_module
-from ..gpusim.device import DeviceSpec
+from ..errors import UnknownDeviceError
+from ..gpusim.device import PROFILE_DIR, DeviceSpec
 from .profile import DeviceProfile
 from .schema import ensure_valid
-
-#: Directory holding the shipped profile documents.
-PROFILE_DIR = Path(__file__).resolve().parent / "profiles"
 
 
 class DeviceRegistry:
@@ -47,16 +35,11 @@ class DeviceRegistry:
 
     # -- loading -----------------------------------------------------------
 
-    def register(self, profile: DeviceProfile, *,
-                 publish: bool = False) -> DeviceProfile:
+    def register(self, profile: DeviceProfile) -> DeviceProfile:
         """Add ``profile`` to the catalogue.
 
         Re-registering a slug is an error unless the profile is
-        identical (idempotent reload).  With ``publish=True`` the
-        profile's spec also enters :data:`repro.gpusim.device.DEVICES`;
-        a conflicting spec under the same display name is rejected
-        rather than silently replacing what existing figures were
-        computed with.
+        identical (idempotent reload).
         """
         existing = self._profiles.get(profile.name)
         if existing is not None:
@@ -66,20 +49,11 @@ class DeviceRegistry:
                 f"profile {profile.name!r} already registered with "
                 f"different content (digest {existing.digest} vs "
                 f"{profile.digest})")
-        display = profile.spec.name
-        published = _device_module.DEVICES.get(display)
-        if publish and published is not None and published != profile.spec:
-            raise ValueError(
-                f"profile {profile.name!r} would replace device "
-                f"{display!r} with a different spec")
         self._profiles[profile.name] = profile
-        self._by_display[display] = profile.name
-        if publish and published is None:
-            _device_module.DEVICES[display] = profile.spec
+        self._by_display[profile.spec.name] = profile.name
         return profile
 
-    def load_file(self, path: Union[str, Path], *,
-                  publish: bool = False) -> DeviceProfile:
+    def load_file(self, path: Union[str, Path]) -> DeviceProfile:
         path = Path(path)
         with open(path) as fh:
             doc = json.load(fh)
@@ -89,12 +63,11 @@ class DeviceRegistry:
             raise ValueError(f"profile file {path.name!r} declares name "
                              f"{profile.name!r}; file name and profile "
                              f"name must match")
-        return self.register(profile, publish=publish)
+        return self.register(profile)
 
-    def load_dir(self, directory: Union[str, Path], *,
-                 publish: bool = False) -> List[DeviceProfile]:
+    def load_dir(self, directory: Union[str, Path]) -> List[DeviceProfile]:
         """Load every ``*.json`` under ``directory``, sorted by name."""
-        return [self.load_file(path, publish=publish)
+        return [self.load_file(path)
                 for path in sorted(Path(directory).glob("*.json"))]
 
     # -- lookup ------------------------------------------------------------
@@ -118,8 +91,8 @@ class DeviceRegistry:
             return self._profiles[slug]
         except KeyError:
             known = ", ".join(self.names()) or "<none>"
-            raise KeyError(f"unknown device profile {name!r} "
-                           f"(known: {known})") from None
+            raise UnknownDeviceError(f"unknown device profile {name!r} "
+                                     f"(known: {known})") from None
 
     def find(self, name: str) -> Optional[DeviceProfile]:
         slug = self._by_display.get(name, name)
@@ -135,13 +108,6 @@ class DeviceRegistry:
             return device
         return self.get(device).spec
 
-    def profile_for_spec(self, spec: DeviceSpec) -> Optional[DeviceProfile]:
-        """The registered profile whose spec equals ``spec``, if any."""
-        profile = self.find(spec.name)
-        if profile is not None and profile.spec == spec:
-            return profile
-        return None
-
 
 # ---------------------------------------------------------------------------
 # shared default registry
@@ -155,7 +121,7 @@ def default_registry() -> DeviceRegistry:
     global _default
     if _default is None:
         registry = DeviceRegistry()
-        registry.load_dir(PROFILE_DIR, publish=True)
+        registry.load_dir(PROFILE_DIR)
         _default = registry
     return _default
 
@@ -169,58 +135,17 @@ def get_profile(name: str) -> DeviceProfile:
 
 
 def resolve_device(device: Union[str, DeviceSpec]) -> DeviceSpec:
-    """Resolve against the default registry, falling back to the
-    hand-built :data:`~repro.gpusim.device.DEVICES` display names."""
-    if isinstance(device, DeviceSpec):
-        return device
-    registry = default_registry()
-    profile = registry.find(device)
-    if profile is not None:
-        return profile.spec
-    spec = _device_module.DEVICES.get(device)
-    if spec is not None:
-        return spec
-    known = ", ".join(registry.names())
-    raise KeyError(f"unknown device {device!r} (profiles: {known})")
+    """Resolve a slug, display name or spec against the default
+    registry (see :meth:`DeviceRegistry.resolve`)."""
+    return default_registry().resolve(device)
 
 
 def selftest() -> List[str]:
-    """Cross-check the shipped catalogue against the hand-built specs.
+    """Round-trip every registered profile through its JSON form.
 
-    Returns a list of problems (empty == healthy); the CI
-    ``devices-smoke`` job and ``repro devices --validate`` fail on any.
-    Covers the ISSUE's byte-identity requirement: the ``k40c`` JSON
-    path must rebuild *exactly* the legacy constructor's spec.
+    Returns a list of problems (empty == healthy);
+    ``repro devices --validate`` fails on any.
     """
-    problems: List[str] = []
-    registry = default_registry()
-    legacy = {
-        "k40c": _device_module.K40C,
-        "k20x": _device_module.K20X,
-        "maxwell": _device_module.TITAN_X,
-        "m40": _device_module.M40,
-    }
-    for slug, spec in legacy.items():
-        profile = registry.find(slug)
-        if profile is None:
-            problems.append(f"{slug}: shipped profile missing")
-            continue
-        if profile.spec != spec:
-            diffs = [
-                f"{name}: profile={getattr(profile.spec, name)!r} "
-                f"legacy={getattr(spec, name)!r}"
-                for name in (f.name for f in fields(DeviceSpec))
-                if getattr(profile.spec, name) != getattr(spec, name)
-            ]
-            problems.append(f"{slug}: spec diverges from legacy "
-                            f"constructor ({'; '.join(diffs)})")
-    for profile in registry:
-        rebuilt = DeviceProfile.from_dict(profile.to_dict())
-        if rebuilt != profile:
-            problems.append(f"{profile.name}: to_dict/from_dict round "
-                            f"trip not identical")
-        published = _device_module.DEVICES.get(profile.spec.name)
-        if published != profile.spec:
-            problems.append(f"{profile.name}: spec not published to "
-                            f"gpusim.DEVICES")
-    return problems
+    return [f"{profile.name}: to_dict/from_dict round trip not identical"
+            for profile in default_registry()
+            if DeviceProfile.from_dict(profile.to_dict()) != profile]

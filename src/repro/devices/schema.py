@@ -8,27 +8,18 @@ shape lives in the :data:`PROFILE_SCHEMA` table, and
 :func:`validate_profile` walks it, accumulating *every* problem with a
 JSON-pointer-style path (``spec.sm_count: expected int``) rather than
 bailing on the first, so ``repro devices --validate`` reports a broken
-profile in one pass.
+profile in one pass.  The ``spec`` section's rules are
+:func:`repro.gpusim.device.spec_errors`, the same ones the import-time
+catalogue load applies.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .profile import PROFILE_SCHEMA_VERSION, SPEC_FIELDS, _INT_SPEC_FIELDS
-
-
-class ProfileValidationError(ValueError):
-    """A profile document failed schema validation.
-
-    ``errors`` holds one ``path: problem`` string per violation.
-    """
-
-    def __init__(self, name: str, errors: List[str]):
-        self.profile = name
-        self.errors = list(errors)
-        joined = "; ".join(self.errors)
-        super().__init__(f"profile {name!r} invalid: {joined}")
+from ..errors import ProfileValidationError
+from ..gpusim.device import _is_int, _is_number, spec_errors
+from .profile import PROFILE_SCHEMA_VERSION
 
 
 # (required, type, predicate, description) per field.  ``type`` of
@@ -55,16 +46,6 @@ POWER_SCHEMA: Dict[str, _FieldRule] = {
 ECONOMICS_SCHEMA: Dict[str, _FieldRule] = {
     "cost_per_hour": (True, "number", "> 0"),
 }
-
-
-def _is_int(value: object) -> bool:
-    # bool is an int subclass but never a valid count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return (_is_int(value)
-            or (isinstance(value, float) and value == value))  # not NaN
 
 
 def _check_table(doc: dict, table: Dict[str, _FieldRule], prefix: str,
@@ -110,29 +91,7 @@ def validate_profile(doc: object) -> List[str]:
 
     spec = doc.get("spec")
     if isinstance(spec, dict):
-        for field_name in SPEC_FIELDS:
-            path = f"spec.{field_name}"
-            if field_name not in spec:
-                errors.append(f"{path}: missing")
-                continue
-            value = spec[field_name]
-            if field_name == "name":
-                if not isinstance(value, str) or not value:
-                    errors.append(f"{path}: expected non-empty string")
-            elif field_name in _INT_SPEC_FIELDS:
-                # JSON has one number type; accept 2048.0 but not 20.5.
-                if not _is_number(value) or float(value) != int(value):
-                    errors.append(f"{path}: expected integral number")
-                elif value <= 0:
-                    errors.append(f"{path}: must be positive")
-            else:
-                if not _is_number(value):
-                    errors.append(f"{path}: expected number")
-                elif value < 0:
-                    errors.append(f"{path}: must be non-negative")
-        for field_name in spec:
-            if field_name not in SPEC_FIELDS:
-                errors.append(f"spec.{field_name}: unknown field")
+        errors.extend(spec_errors(spec))
 
     power = doc.get("power")
     if isinstance(power, dict):

@@ -117,3 +117,28 @@ class TraceSchemaError(ReproError, ValueError):
     """A saved observability artifact (JSONL event log, metrics
     snapshot) could not be loaded: unknown schema version, malformed
     records, or dangling span references."""
+
+
+class ProfileValidationError(ReproError, ValueError):
+    """A device-profile document failed validation (a shipped one at
+    import, see :mod:`repro.gpusim.device`, or any one through
+    :func:`repro.devices.ensure_valid`).
+
+    ``profile`` names the document (its file, when it has one) and
+    ``errors`` holds one ``path: problem`` string per violation.
+    """
+
+    def __init__(self, name: str, errors):
+        self.profile = name
+        self.errors = list(errors)
+        joined = "; ".join(self.errors)
+        super().__init__(f"profile {name!r} invalid: {joined}")
+
+
+class UnknownDeviceError(ReproError, ValueError, KeyError):
+    """A slug or display name matches no profile in the device
+    catalogue.  A ``ValueError`` so the CLI reports it as a usage
+    error, and a ``KeyError`` because it is a failed lookup."""
+
+    # KeyError's str() would quote the whole message.
+    __str__ = ValueError.__str__

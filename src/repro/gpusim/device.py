@@ -1,4 +1,15 @@
-"""Device specifications.
+"""Device specifications and the device catalogue.
+
+A device's numbers are written once, in the ``spec`` section of its
+profile document under ``repro/devices/profiles/``.  This module reads
+that catalogue once, at import, into :data:`DEVICES` — a read-only
+display-name -> :class:`DeviceSpec` map holding every shipped device —
+and :data:`K40C`, :data:`K20X`, :data:`TITAN_X` and :data:`M40` are
+names for four of its entries.  A damaged or missing profile fails the
+import with a :class:`~repro.errors.ProfileValidationError` naming the
+file and the field, so no process ever runs on a partial catalogue.
+The rest of a profile (power, cost) belongs to :mod:`repro.devices`,
+which wraps these same spec objects.
 
 :data:`K40C` reproduces the card described in section III-A of the
 paper: 15 SMs x 192 CUDA cores at 745 MHz boost (4.29 TFLOP/s single
@@ -10,8 +21,14 @@ C Programming Guide for compute capability 3.5.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import json
+import math
+from dataclasses import dataclass, fields
+from pathlib import Path
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
+from ..errors import ProfileValidationError
 from .memo import cached_instance_hash
 
 
@@ -112,72 +129,151 @@ def spec_digest(device: "DeviceSpec") -> str:
         return digest
 
 
-def _variant(base: "DeviceSpec", **changes) -> "DeviceSpec":
-    from dataclasses import replace
-    return replace(base, **changes)
+# ---------------------------------------------------------------------------
+# the profile ``spec`` section
+# ---------------------------------------------------------------------------
+
+#: DeviceSpec field names, in declaration order (the canonical
+#: serialization order for profile documents and digests).
+SPEC_FIELDS = tuple(f.name for f in fields(DeviceSpec))
+
+#: DeviceSpec fields that are integral counts/sizes (the rest are
+#: floats: rates, bandwidths, seconds).
+_INT_SPEC_FIELDS = frozenset((
+    "sm_count", "cores_per_sm", "flops_per_core_cycle",
+    "global_memory_bytes", "registers_per_sm", "register_alloc_unit",
+    "max_registers_per_thread", "shared_memory_per_sm",
+    "shared_alloc_unit", "max_shared_per_block", "max_threads_per_sm",
+    "max_threads_per_block", "max_blocks_per_sm", "warp_size",
+    "shared_banks", "bank_width_bytes", "transaction_bytes",
+))
+
+
+def _is_int(value: object) -> bool:
+    # bool is an int subclass but never a valid count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    # JSON admits NaN and Infinity; neither is a usable figure.
+    return _is_int(value) or (isinstance(value, float)
+                              and math.isfinite(value))
+
+
+def spec_errors(spec: dict) -> List[str]:
+    """Every problem with a profile's ``spec`` section, one
+    ``spec.<field>: problem`` string each (empty list == valid)."""
+    errors: List[str] = []
+    for name in SPEC_FIELDS:
+        path = f"spec.{name}"
+        if name not in spec:
+            errors.append(f"{path}: missing")
+            continue
+        value = spec[name]
+        if name == "name":
+            if not isinstance(value, str) or not value:
+                errors.append(f"{path}: expected non-empty string")
+        elif name in _INT_SPEC_FIELDS:
+            # JSON has one number type; accept 2048.0 but not 20.5.
+            if not (_is_int(value) or (isinstance(value, float)
+                                       and value.is_integer())):
+                errors.append(f"{path}: expected integral number")
+            elif value <= 0:
+                errors.append(f"{path}: must be positive")
+        elif not _is_number(value):
+            errors.append(f"{path}: expected number")
+        elif value < 0:
+            errors.append(f"{path}: must be non-negative")
+    errors.extend(f"spec.{name}: unknown field"
+                  for name in spec if name not in SPEC_FIELDS)
+    return errors
+
+
+def spec_to_dict(spec: DeviceSpec) -> Dict[str, object]:
+    """Every spec field as a JSON-ready mapping, declaration order."""
+    return {name: getattr(spec, name) for name in SPEC_FIELDS}
+
+
+def spec_from_dict(doc: Dict[str, object]) -> DeviceSpec:
+    """Rebuild a spec from :func:`spec_to_dict` output (or a ``spec``
+    section :func:`spec_errors` passes).  Integral fields tolerate JSON
+    floats with integral values (``1.2884901888e9``-style scientific
+    notation), everything else coerces to float."""
+    kwargs = {}
+    for name in SPEC_FIELDS:
+        value = doc[name]
+        if name == "name":
+            kwargs[name] = str(value)
+        elif name in _INT_SPEC_FIELDS:
+            kwargs[name] = int(value)
+        else:
+            kwargs[name] = float(value)
+    return DeviceSpec(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the shipped catalogue
+# ---------------------------------------------------------------------------
+
+#: Directory holding the shipped profile documents.
+PROFILE_DIR = Path(__file__).resolve().parent.parent / "devices" / "profiles"
+
+
+def load_catalogue(directory: Path = PROFILE_DIR) -> Mapping[str, DeviceSpec]:
+    """Read the ``spec`` section of every ``*.json`` profile under
+    ``directory`` (in file-name order) into a read-only display-name ->
+    spec map.
+
+    All or nothing: a missing directory, an unreadable document, a
+    ``spec`` section :func:`spec_errors` rejects, or two documents
+    claiming one display name raise :class:`ProfileValidationError`
+    naming the file and the field.
+    """
+    paths = sorted(Path(directory).glob("*.json"))
+    if not paths:
+        raise ProfileValidationError(
+            str(directory), ["no *.json profile documents"])
+    specs: Dict[str, DeviceSpec] = {}
+    for path in paths:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ProfileValidationError(str(path), [f"document: {exc}"]) \
+                from None
+        section = doc.get("spec") if isinstance(doc, dict) else None
+        if not isinstance(section, dict):
+            raise ProfileValidationError(str(path), ["spec: expected object"])
+        errors = spec_errors(section)
+        if errors:
+            raise ProfileValidationError(str(path), errors)
+        spec = spec_from_dict(section)
+        if spec.name in specs:
+            raise ProfileValidationError(str(path), [
+                f"spec.name: {spec.name!r} is already another profile's"])
+        specs[spec.name] = spec
+    return MappingProxyType(specs)
+
+
+#: Every shipped device by display name (read-only).
+DEVICES = load_catalogue()
+
+
+def _shipped(name: str) -> DeviceSpec:
+    try:
+        return DEVICES[name]
+    except KeyError:
+        raise ProfileValidationError(str(PROFILE_DIR), [
+            f"spec.name: no profile defines {name!r}"]) from None
 
 
 #: The Tesla K40c of section III-A (GK110B, compute capability 3.5).
-K40C = DeviceSpec(
-    name="Tesla K40c",
-    sm_count=15,
-    cores_per_sm=192,
-    clock_hz=745e6,
-    flops_per_core_cycle=2,
-    global_memory_bytes=12 * 2**30,
-    memory_bandwidth=288e9,
-    registers_per_sm=65536,
-    register_alloc_unit=256,
-    max_registers_per_thread=255,
-    shared_memory_per_sm=48 * 1024,
-    shared_alloc_unit=256,
-    max_shared_per_block=48 * 1024,
-    max_threads_per_sm=2048,
-    max_threads_per_block=1024,
-    max_blocks_per_sm=16,
-    warp_size=32,
-    shared_banks=32,
-    bank_width_bytes=4,
-    transaction_bytes=128,
-    kernel_launch_overhead_s=5e-6,
-)
-
-
-#: Tesla K20X — the K40c's smaller GK110 sibling (14 SMs @ 732 MHz,
-#: 6 GB, 250 GB/s).  Useful for "what if the paper had run on the
-#: previous card" sensitivity studies.
-K20X = _variant(
-    K40C,
-    name="Tesla K20X",
-    sm_count=14,
-    clock_hz=732e6,
-    global_memory_bytes=6 * 2**30,
-    memory_bandwidth=250e9,
-)
-
-#: GeForce GTX TITAN X (Maxwell GM200): 24 SMs x 128 cores @ 1.0 GHz,
-#: 12 GB, 336 GB/s.  Maxwell keeps 64K registers per SM but gives
-#: blocks up to 48 KB shared out of a 96 KB array and schedules 32
-#: blocks per SM.
-TITAN_X = _variant(
-    K40C,
-    name="GTX TITAN X (Maxwell)",
-    sm_count=24,
-    cores_per_sm=128,
-    clock_hz=1000e6,
-    global_memory_bytes=12 * 2**30,
-    memory_bandwidth=336e9,
-    shared_memory_per_sm=96 * 1024,
-    max_blocks_per_sm=32,
-)
-
-#: Tesla M40 — the Maxwell datacentre part (24 SMs @ 948 MHz, 288 GB/s).
-M40 = _variant(
-    TITAN_X,
-    name="Tesla M40",
-    clock_hz=948e6,
-    memory_bandwidth=288e9,
-)
-
-#: All modelled devices by name.
-DEVICES = {d.name: d for d in (K40C, K20X, TITAN_X, M40)}
+K40C = _shipped("Tesla K40c")
+#: Tesla K20X — the K40c's smaller GK110 sibling, for "what if the
+#: paper had run on the previous card" sensitivity studies.
+K20X = _shipped("Tesla K20X")
+#: GeForce GTX TITAN X (Maxwell GM200): wider SMs, a 96 KB shared
+#: array and 32 resident blocks per SM.
+TITAN_X = _shipped("GTX TITAN X (Maxwell)")
+#: Tesla M40 — the Maxwell datacentre part.
+M40 = _shipped("Tesla M40")

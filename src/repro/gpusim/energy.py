@@ -10,6 +10,9 @@ energy from the timing model:
 * idle/static power burns regardless (about a third of board power on
   GK110).
 
+Both figures — board power (TDP) and the idle fraction — come from the
+``power`` section of each device's profile (:mod:`repro.devices`).
+
 The result is a second axis on which the seven implementations
 separate: fbfft's short, bandwidth-heavy iterations versus the
 unrolling family's long, compute-heavy ones.
@@ -20,43 +23,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .device import DeviceSpec, K40C
+from .device import DeviceSpec
 from .timing import KernelTiming
 
-#: Board-power fallbacks for devices with no registered profile
-#: (K40c: 235 W TDP; static/idle ~65 W).  The source of truth is the
-#: device-profile catalogue (:mod:`repro.devices`) — each profile's
-#: ``power.tdp_w`` / ``power.idle_fraction`` carries these numbers,
-#: and :func:`device_tdp` consults it first.
-TDP_WATTS = {"Tesla K40c": 235.0, "Tesla K20X": 235.0,
-             "GTX TITAN X (Maxwell)": 250.0, "Tesla M40": 250.0}
-STATIC_FRACTION = 0.28
+
+def _power_profile(device: DeviceSpec):
+    """The catalogue profile registered under ``device``'s display name
+    (the K40c's for a name the catalogue does not hold).  The registry
+    import is deferred: energy is a gpusim leaf module and
+    :mod:`repro.devices` sits above gpusim in the layering."""
+    from ..devices.registry import default_registry
+    registry = default_registry()
+    return registry.find(device.name) or registry.get("k40c")
 
 
 def device_tdp(device: DeviceSpec) -> float:
-    """Board power limit for a modelled device, watts.
-
-    Reads the device-profile registry (the declarative catalogue the
-    legacy per-module constants were consolidated into); devices
-    without a profile fall back to :data:`TDP_WATTS`, then 235 W.  The
-    registry import is deferred: energy is a gpusim leaf module and
-    :mod:`repro.devices` sits above gpusim in the layering.
-    """
-    from ..devices.registry import default_registry
-    profile = default_registry().profile_for_spec(device)
-    if profile is not None:
-        return profile.tdp_w
-    return TDP_WATTS.get(device.name, 235.0)
+    """Board power limit for a modelled device, watts (its profile's
+    ``power.tdp_w``)."""
+    return _power_profile(device).tdp_w
 
 
 def device_static_fraction(device: DeviceSpec) -> float:
-    """Idle/static share of board power (profile ``idle_fraction``,
-    falling back to :data:`STATIC_FRACTION`)."""
-    from ..devices.registry import default_registry
-    profile = default_registry().profile_for_spec(device)
-    if profile is not None:
-        return profile.idle_fraction
-    return STATIC_FRACTION
+    """Idle/static share of board power (its profile's
+    ``power.idle_fraction``)."""
+    return _power_profile(device).idle_fraction
 
 
 def kernel_power(device: DeviceSpec, timing: KernelTiming) -> float:

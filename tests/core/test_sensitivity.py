@@ -10,9 +10,8 @@ from repro.gpusim.device import DEVICES, K20X, K40C, M40, TITAN_X
 
 class TestDeviceZoo:
     def test_four_devices(self):
-        # >= 4: the devices registry (repro.devices) publishes extra
-        # profiles (e.g. pascal) into DEVICES once imported.
-        assert len(DEVICES) >= 4
+        # The four sensitivity-study cards plus the Pascal profile.
+        assert len(DEVICES) == 5
         assert "Tesla K40c" in DEVICES
 
     def test_k20x_is_smaller_k40(self):
@@ -48,8 +47,8 @@ class TestHeadlines:
         assert "K40c" in out and "crossover" in out
 
     def test_default_rows_ignore_the_profile_registry(self):
-        """Loading the registry publishes extra profiles into DEVICES;
-        the default table must still be the four hand-built specs."""
+        """The default table is the four cards of the sensitivity study,
+        not the whole catalogue, whatever has loaded the registry."""
         from repro.devices import default_registry
 
         default_registry()

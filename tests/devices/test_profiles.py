@@ -7,7 +7,7 @@ import pytest
 from repro.devices import (PROFILE_DIR, PROFILE_SCHEMA_VERSION, DeviceProfile,
                            ProfileValidationError, ensure_valid, get_profile,
                            spec_from_dict, spec_to_dict, validate_profile)
-from repro.gpusim.device import K40C, TITAN_X, spec_digest
+from repro.gpusim.device import K40C, TITAN_X, DeviceSpec, spec_digest
 
 
 def load_doc(name: str) -> dict:
@@ -15,26 +15,46 @@ def load_doc(name: str) -> dict:
         return json.load(fh)
 
 
+#: The Tesla K40c of section III-A, written out field by field: 15 SMs
+#: x 192 cores at 745 MHz, 2 FLOPs per core per cycle, 12 GiB at
+#: 288 GB/s, 64K registers and 48 KiB of shared memory per SM, 5 us
+#: launch overhead, the compute-capability-3.5 occupancy limits, and
+#: DeviceSpec's PCIe, dual-issue and ECC-replay defaults.
+PAPER_K40C = DeviceSpec(
+    name="Tesla K40c", sm_count=15, cores_per_sm=192, clock_hz=745e6,
+    flops_per_core_cycle=2, global_memory_bytes=12 * 2**30,
+    memory_bandwidth=288e9, registers_per_sm=65536, register_alloc_unit=256,
+    max_registers_per_thread=255, shared_memory_per_sm=48 * 1024,
+    shared_alloc_unit=256, max_shared_per_block=48 * 1024,
+    max_threads_per_sm=2048, max_threads_per_block=1024, max_blocks_per_sm=16,
+    warp_size=32, shared_banks=32, bank_width_bytes=4, transaction_bytes=128,
+    kernel_launch_overhead_s=5e-6,
+)
+
+
 class TestK40cByteIdentity:
-    """The ISSUE's core guarantee: the declarative k40c profile
-    rebuilds *exactly* the hand-built calibrated spec."""
+    """The catalogue's k40c is the calibrated card of section III-A:
+    the model every paper figure is computed on."""
 
     def test_spec_equal(self):
-        assert get_profile("k40c").spec == K40C
+        assert K40C == PAPER_K40C
+        assert get_profile("k40c").spec is K40C
 
     def test_every_field_identical(self):
         from dataclasses import fields
-        spec = get_profile("k40c").spec
-        for f in fields(type(K40C)):
-            assert getattr(spec, f.name) == getattr(K40C, f.name), f.name
+        for f in fields(DeviceSpec):
+            assert getattr(K40C, f.name) == getattr(PAPER_K40C, f.name), \
+                f.name
             # Same type too: 12884901888 (int) must not become a float.
-            assert type(getattr(spec, f.name)) is type(getattr(K40C, f.name))
+            assert type(getattr(K40C, f.name)) is \
+                type(getattr(PAPER_K40C, f.name)), f.name
 
     def test_digest_matches_hand_built(self):
-        assert spec_digest(get_profile("k40c").spec) == spec_digest(K40C)
+        assert spec_digest(K40C) == spec_digest(PAPER_K40C) == "644a6f716191"
 
     def test_maxwell_matches_titan_x(self):
-        assert get_profile("maxwell").spec == TITAN_X
+        assert get_profile("maxwell").spec is TITAN_X
+        assert TITAN_X.name == "GTX TITAN X (Maxwell)"
 
 
 class TestRoundTrip:

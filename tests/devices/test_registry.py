@@ -1,16 +1,23 @@
-"""Registry loading, lookup, publication and the legacy selftest."""
+"""Registry loading, lookup, the catalogue's power figures and the
+selftest."""
 
 import json
 
 import pytest
 
 from repro.devices import (PROFILE_DIR, DeviceProfile, DeviceRegistry,
-                           default_registry, get_profile, profile_names,
-                           resolve_device, selftest)
+                           get_profile, profile_names, resolve_device,
+                           selftest)
 from repro.gpusim import device as device_module
 from repro.gpusim.device import DEVICES, K40C
-from repro.gpusim.energy import (STATIC_FRACTION, TDP_WATTS,
-                                 device_static_fraction, device_tdp)
+from repro.gpusim.energy import device_static_fraction, device_tdp
+
+#: The shipped devices' power figures, written out: 235 W for the GK110
+#: parts, 250 W for the Maxwell and Pascal parts, 28% idle for all.
+TDP_WATTS = {"Tesla K40c": 235.0, "Tesla K20X": 235.0,
+             "GTX TITAN X (Maxwell)": 250.0, "Tesla M40": 250.0,
+             "Tesla P100 (Pascal)": 250.0}
+STATIC_FRACTION = 0.28
 
 
 class TestDefaultRegistry:
@@ -28,15 +35,17 @@ class TestDefaultRegistry:
     def test_selftest_clean(self):
         assert selftest() == []
 
-    def test_publishes_into_devices_map(self):
-        # pascal has no hand-built constant; the registry adds it.
-        assert "Tesla P100 (Pascal)" in DEVICES
-        assert DEVICES["Tesla P100 (Pascal)"] is \
-            get_profile("pascal").spec
+    def test_profiles_wrap_the_catalogue_specs(self):
+        for name in profile_names():
+            spec = get_profile(name).spec
+            assert spec is DEVICES[spec.name]
 
     def test_legacy_names_keep_module_constants(self):
-        # Publishing never replaces a hand-built spec object.
+        # The module constants are names for catalogue entries.
         assert DEVICES["Tesla K40c"] is device_module.K40C
+        assert DEVICES["Tesla K20X"] is device_module.K20X
+        assert DEVICES["GTX TITAN X (Maxwell)"] is device_module.TITAN_X
+        assert DEVICES["Tesla M40"] is device_module.M40
 
     def test_resolve_device(self):
         assert resolve_device("k40c") == K40C
@@ -72,15 +81,6 @@ class TestIsolatedRegistry:
         with pytest.raises(ValueError, match="different content"):
             registry.register(DeviceProfile.from_dict(doc))
 
-    def test_publish_conflicting_spec_rejected(self):
-        registry = DeviceRegistry()
-        with open(PROFILE_DIR / "k40c.json") as fh:
-            doc = json.load(fh)
-        doc["name"] = "k40c-tweaked"
-        doc["spec"]["sm_count"] = 16     # same display name, new numbers
-        with pytest.raises(ValueError, match="different spec"):
-            registry.register(DeviceProfile.from_dict(doc), publish=True)
-
     def test_file_name_must_match_profile_name(self, tmp_path):
         with open(PROFILE_DIR / "k40c.json") as fh:
             doc = json.load(fh)
@@ -90,17 +90,14 @@ class TestIsolatedRegistry:
         with pytest.raises(ValueError, match="must match"):
             registry.load_file(path)
 
-    def test_profile_for_spec(self):
-        registry = default_registry()
-        assert registry.profile_for_spec(K40C).name == "k40c"
-        from dataclasses import replace
-        tweaked = replace(K40C, sm_count=16)
-        assert registry.profile_for_spec(tweaked) is None
+    def test_isolated_load_wraps_the_catalogue_specs(self):
+        registry = self.make_registry()
+        assert registry.get("k40c").spec is K40C
 
 
 class TestTDPConsolidation:
-    """Satellite: the scattered per-module K40c power constants now
-    read from the registry — byte-identical figures."""
+    """The energy model reads board power from the catalogue and
+    returns the figures written out above."""
 
     def test_registry_tdp_matches_legacy_table(self):
         for name, tdp in TDP_WATTS.items():
@@ -116,16 +113,24 @@ class TestTDPConsolidation:
         assert device_tdp(unknown) == 235.0
         assert device_static_fraction(unknown) == STATIC_FRACTION
 
+    def test_modified_spec_keeps_its_names_figures(self):
+        from dataclasses import replace
+        assert device_tdp(replace(K40C, sm_count=16)) == 235.0
+        tweaked = replace(DEVICES["Tesla M40"], clock_hz=1.0e9)
+        assert device_tdp(tweaked) == 250.0
+        assert device_static_fraction(tweaked) == STATIC_FRACTION
+
     def test_profiles_carry_the_power_figures(self):
         for slug, display in (("k40c", "Tesla K40c"),
                               ("k20x", "Tesla K20X"),
                               ("maxwell", "GTX TITAN X (Maxwell)"),
-                              ("m40", "Tesla M40")):
+                              ("m40", "Tesla M40"),
+                              ("pascal", "Tesla P100 (Pascal)")):
             assert get_profile(slug).tdp_w == TDP_WATTS[display]
 
     def test_kernel_power_unchanged(self):
-        """End-to-end: energy figures through the registry path equal
-        the legacy constants' arithmetic."""
+        """End-to-end: energy figures through the registry path stay
+        between the written-out static and board power."""
         from repro.config import ConvConfig
         from repro.frameworks.registry import get_implementation
         from repro.gpusim.energy import iteration_energy

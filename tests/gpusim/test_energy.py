@@ -5,8 +5,8 @@ import pytest
 from repro.config import BASE_CONFIG
 from repro.frameworks.registry import get_implementation
 from repro.gpusim.device import K40C, TITAN_X
-from repro.gpusim.energy import (STATIC_FRACTION, EnergyReport, device_tdp,
-                                 iteration_energy, kernel_energy,
+from repro.gpusim.energy import (EnergyReport, device_static_fraction,
+                                 device_tdp, iteration_energy, kernel_energy,
                                  kernel_power)
 from repro.gpusim.kernels import KernelRole, KernelSpec, LaunchConfig
 from repro.gpusim.timing import time_kernel
@@ -23,7 +23,7 @@ def timing(flops=1e10, nbytes=2e6):
 class TestKernelPower:
     def test_bounded_by_static_and_tdp(self):
         p = kernel_power(K40C, timing())
-        assert STATIC_FRACTION * 235.0 <= p <= 235.0
+        assert 0.28 * 235.0 <= p <= 235.0
 
     def test_busier_kernel_draws_more(self):
         lazy = timing(flops=1e8, nbytes=1e5)
@@ -33,6 +33,7 @@ class TestKernelPower:
     def test_device_tdp_table(self):
         assert device_tdp(K40C) == 235.0
         assert device_tdp(TITAN_X) == 250.0
+        assert device_static_fraction(K40C) == 0.28
 
     def test_energy_is_power_times_time(self):
         t = timing()

@@ -555,6 +555,16 @@ class TestClusterCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--policy", "dice"])
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--quick", "--fleet", "nope:2"],
+        ["plan", "--fleet", "nope:2", "--quick"],
+    ])
+    def test_unknown_device_slug_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "repro: error: unknown device profile 'nope' "
+            "(known: k20x, k40c, m40, maxwell, pascal)\n")
+
     def test_human_output_lists_replicas(self, capsys):
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out

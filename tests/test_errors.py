@@ -66,3 +66,14 @@ def test_pressure_error_caught_by_plain_oom_handlers():
         raise MemoryPressureError(1, 2, 3, 4)
     except DeviceOOMError as caught:
         assert caught.reserved == 4
+
+
+def test_unknown_device_is_a_value_and_key_error_printed_plainly():
+    from repro.devices import get_profile
+    from repro.errors import UnknownDeviceError
+    with pytest.raises(UnknownDeviceError) as exc:
+        get_profile("nope")
+    e = exc.value
+    assert isinstance(e, ReproError)
+    assert isinstance(e, ValueError) and isinstance(e, KeyError)
+    assert str(e).startswith("unknown device profile 'nope' (known: ")
