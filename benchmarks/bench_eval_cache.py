@@ -3,12 +3,11 @@
 Measures ``all_runtime_sweeps`` — the five Fig. 3 panels, 546
 evaluation points — in three regimes:
 
-* **baseline** — the seed behavior: memoization off, evaluation cache
-  bypassed; every point re-derives the full kernel plan → occupancy →
-  roofline → metrics chain;
+* **baseline** — the evaluation cache bypassed (``cache=DISABLED``):
+  every point re-derives the full kernel plan → occupancy → roofline
+  → metrics chain;
 * **cold** — fresh caches: points the sweeps revisit are hits in the
-  shared :class:`~repro.core.evalcache.EvalCache` and the memoized
-  model layers share sub-results;
+  shared :class:`~repro.core.evalcache.EvalCache`;
 * **warm** — an immediate rerun against the populated cache.
 
 It also times the JSON disk round-trip (save, then a warm-start load
@@ -16,10 +15,13 @@ into a fresh cache) and verifies the rendered figures are
 byte-identical across all regimes — caching must never change output.
 
 Run as a script (``python benchmarks/bench_eval_cache.py [--quick]``)
-it writes ``benchmarks/results/BENCH_eval_cache.json`` and exits
-non-zero if the warm/cold speedup falls below the CI gate (2x) or any
-regime's figures diverge.  Under pytest it runs in quick mode and
-asserts the same gates.
+it exits non-zero if the warm/cold speedup falls below the CI gate
+(2x) or any regime's figures diverge.  A passing full run writes
+``benchmarks/results/BENCH_eval_cache.json`` only when the artifact is
+missing or one of its recorded fields other than the host timings
+differs; ``--quick`` writes nothing.  To record new host timings,
+delete the artifact and rerun.  Under pytest it runs in quick mode
+and asserts the same gates.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import pathlib
 import sys
 import time
+from typing import Optional
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -36,6 +39,11 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: 10x; 2x catches "the cache stopped working" without flaking on slow
 #: shared runners).
 WARM_COLD_GATE = 2.0
+
+#: Payload fields holding host timings, which differ on every run.
+HOST_TIMINGS = ("baseline_s", "cold_s", "warm_s", "cold_speedup",
+                "warm_speedup_vs_cold", "save_s", "load_s",
+                "warm_from_disk_s")
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -60,15 +68,13 @@ def run_benchmark(repeats: int = 5) -> dict:
     def render(sweeps) -> str:
         return "\n".join(sweeps[name].render() for name in sorted(sweeps))
 
-    # Baseline replicates the seed: no memo layer, no shared cache —
-    # each of the 546 points re-runs the whole model.
-    memo.set_enabled(False)
+    # Baseline: no shared cache — each of the 546 points re-runs the
+    # whole model.
     fresh()
     baseline_render = render(all_runtime_sweeps(cache=evalcache.DISABLED))
     baseline_s = _best_of(
         lambda: (fresh(), all_runtime_sweeps(cache=evalcache.DISABLED)),
         repeats)
-    memo.set_enabled(True)
 
     fresh()
     cold_render = render(all_runtime_sweeps())
@@ -135,7 +141,7 @@ def _render_text(payload: dict) -> str:
     lines = [
         "eval-cache speedup on all_runtime_sweeps "
         f"({payload['points']} points)",
-        f"  baseline (seed: no memo, no cache)          "
+        f"  baseline (no evaluation cache)              "
         f"{payload['baseline_s'] * 1000:8.1f} ms",
         f"  cold (fresh caches)                         "
         f"{payload['cold_s'] * 1000:8.1f} ms   "
@@ -162,21 +168,38 @@ def bench_eval_cache_speedups(save_artifact):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="2 timing repeats instead of 5")
+                        help="2 timing repeats instead of 5; writes nothing")
     args = parser.parse_args(argv)
 
     payload = run_benchmark(repeats=2 if args.quick else 5)
     print(_render_text(payload))
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_eval_cache.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {out}")
-
     failures = check_gates(payload)
     for failure in failures:
         print(f"GATE FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    if args.quick or failures or _recorded(out) == _recorded(payload):
+        print(f"\nleft {out} untouched")
+        return 1 if failures else 0
+    RESULTS_DIR.mkdir(exist_ok=True)
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"\nwrote {out}")
+    return 0
+
+
+def _recorded(source) -> Optional[dict]:
+    """The fields a run records, host timings aside, from a payload or
+    an artifact path (``None`` when the artifact is missing)."""
+    if isinstance(source, pathlib.Path):
+        if not source.exists():
+            return None
+        source = json.loads(source.read_text())
+
+    def strip(node):
+        return {k: strip(v) if isinstance(v, dict) else v
+                for k, v in node.items() if k not in HOST_TIMINGS}
+
+    return strip(json.loads(json.dumps(source)))
 
 
 if __name__ == "__main__":

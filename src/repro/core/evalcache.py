@@ -24,18 +24,21 @@ metric summaries, the Fig. 7 transfer fraction) without touching the
 model again.
 
 Thread safety: the cache takes a lock around its dictionary, and the
-underlying model layers are either pure or memoized with thread-safe
-``lru_cache``, so threads may evaluate concurrently.
+model layers are pure; the timing engine's lookup tables hold pure
+values, so a race only computes an entry twice.  Threads may evaluate
+concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
 from ..config import ConvConfig
@@ -59,18 +62,14 @@ EVALCACHE_VERSION = 2
 
 @dataclass(frozen=True)
 class KernelRecord:
-    """One kernel launch of an evaluation: name, role and the timing /
-    metric row the profiler derived.
+    """One kernel launch of an evaluation: the timing / metric row the
+    profiler derived, with the kernel's name and role.
 
-    Freshly computed records carry the profiler's own
-    :class:`~repro.gpusim.timing.KernelTiming` rows (no copying on the
-    hot path); records loaded from a JSON store carry these instead.
-    Both types expose ``name``, ``role`` and the metric fields under
-    the same names, so :mod:`repro.gpusim.metrics` and every other
-    consumer read either type without asking which it holds."""
+    Fields are declared in the store's field order.  Fresh and loaded
+    records build these rows from the same column table, so
+    :mod:`repro.gpusim.metrics` and every other consumer read one row
+    type."""
 
-    name: str
-    role: str
     time_s: float
     achieved_occupancy: float
     ipc: float
@@ -80,20 +79,22 @@ class KernelRecord:
     shared_efficiency: float
     shared_load_bank_conflicts: int
     shared_store_bank_conflicts: int
+    name: str
+    role: str
 
+
+#: Stored kernel-row fields, in the store's field order.
+_KERNEL_ROW_FIELDS = tuple(f.name for f in fields(KernelRecord))
+
+#: A profiler table's stored columns, in :data:`_KERNEL_ROW_FIELDS` order.
+_stored_columns = operator.attrgetter(*_KERNEL_ROW_FIELDS)
 
 #: Marks a stored field as a number: an int or a float, not a bool.
 _NUMBER = (int, float)
 
-#: Stored kernel-row field -> its type, in the store's field order.
-_KERNEL_ROW_TYPES = {
-    "time_s": _NUMBER, "achieved_occupancy": _NUMBER, "ipc": _NUMBER,
-    "warp_execution_efficiency": _NUMBER, "gld_efficiency": _NUMBER,
-    "gst_efficiency": _NUMBER, "shared_efficiency": _NUMBER,
-    "shared_load_bank_conflicts": _NUMBER,
-    "shared_store_bank_conflicts": _NUMBER, "name": str, "role": str,
-}
-_KERNEL_ROW_FIELDS = tuple(_KERNEL_ROW_TYPES)
+#: Stored kernel-row field -> its type.
+_KERNEL_ROW_TYPES = dict.fromkeys(_KERNEL_ROW_FIELDS, _NUMBER)
+_KERNEL_ROW_TYPES.update(name=str, role=str)
 
 #: Stored record field -> (its type, whether it may be None).
 _RECORD_TYPES = {
@@ -139,11 +140,18 @@ class EvalRecord:
     oom: bool
     #: requested + in-use bytes at the OOM, when ``oom`` is True.
     oom_bytes: Optional[int]
-    #: Per-kernel rows: ``KernelTiming`` when computed in-process (the
-    #: profiler's own objects, shared not copied), ``KernelRecord``
-    #: when loaded from a JSON store.  Both types feed every
-    #: aggregate of :mod:`repro.gpusim.metrics`.
-    kernels: Tuple[object, ...]
+    #: Per-kernel columns in launch order, one tuple per
+    #: :class:`KernelRecord` field (empty when unsupported).  Plain
+    #: tuples of numbers and strings: a record holds no per-kernel
+    #: objects until :attr:`kernels` is read.
+    table: Tuple[tuple, ...] = ()
+
+    @functools.cached_property
+    def kernels(self) -> Tuple[KernelRecord, ...]:
+        """Per-kernel rows, built from :attr:`table` on first read and
+        kept.  Every aggregate of :mod:`repro.gpusim.metrics` reads
+        them."""
+        return tuple(KernelRecord(*row) for row in zip(*self.table))
 
     def summary(self, top_n: Optional[int] = None) -> MetricSummary:
         """Runtime-weighted Fig. 6 metric estimate, recomputed from the
@@ -185,8 +193,8 @@ class EvalRecord:
             "peak_memory_bytes": self.peak_memory_bytes,
             "oom": self.oom,
             "oom_bytes": self.oom_bytes,
-            "kernels": [{f: getattr(k, f) for f in _KERNEL_ROW_FIELDS}
-                        for k in self.kernels],
+            "kernels": [dict(zip(_KERNEL_ROW_FIELDS, row))
+                        for row in zip(*self.table)],
         }
         return d
 
@@ -197,15 +205,15 @@ class EvalRecord:
         :class:`~repro.config.ConvConfig`).  A mismatch raises
         ``ValueError``, so :meth:`EvalCache.load` quarantines the
         store instead of handing a consumer a string for a time."""
-        fields = {name: _typed(name, d[name], kind, optional)
+        values = {name: _typed(name, d[name], kind, optional)
                   for name, (kind, optional) in _RECORD_TYPES.items()}
-        kernels = []
+        rows = []
         for row in _typed("kernels", d["kernels"], list):
             for name, value in _typed("kernel row", row, dict).items():
                 _typed(name, value, _KERNEL_ROW_TYPES[name])
-            kernels.append(KernelRecord(**row))
+            rows.append(tuple(row[name] for name in _KERNEL_ROW_FIELDS))
         return cls(config=ConvConfig(**_typed("config", d["config"], dict)),
-                   kernels=tuple(kernels), **fields)
+                   table=tuple(zip(*rows)), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +269,8 @@ def compute_record(impl: ConvImplementation, config: ConvConfig,
             config=config, device=device.name, supported=False,
             time_s=None, gpu_time_s=None, transfer_time_s=None,
             exposed_transfer_s=None, peak_memory_bytes=None,
-            oom=False, oom_bytes=None, kernels=())
+            oom=False, oom_bytes=None)
     profile = impl.profile_iteration(config, device)
-    kernels = tuple(profile.profiler.executions)
     try:
         peak: Optional[int] = impl.peak_memory_bytes(config, device)
         oom, oom_bytes = False, None
@@ -276,7 +283,7 @@ def compute_record(impl: ConvImplementation, config: ConvConfig,
         transfer_time_s=profile.transfer_time_s,
         exposed_transfer_s=profile.exposed_transfer_s,
         peak_memory_bytes=peak, oom=oom, oom_bytes=oom_bytes,
-        kernels=kernels)
+        table=_stored_columns(profile.profiler.table))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +293,10 @@ def compute_record(impl: ConvImplementation, config: ConvConfig,
 class EvalCache:
     """Process-wide content-addressed store of :class:`EvalRecord`.
 
-    Unbounded by design: the paper's whole sweep space is a few hundred
-    points and a record is ~2 kB, so eviction would only cost rework.
+    Unbounded by design: a record holds column tuples, not per-kernel
+    objects, and costs ~1.7 kB with its key, so even the 16,800 records
+    of the ``advise`` benchmark hold ~29 MB; eviction would only cost
+    rework.
     An optional JSON store (``path``) makes repeat CLI runs warm-start;
     loading tolerates missing/stale files (version-mismatched keys
     simply never match).

@@ -16,7 +16,6 @@ from ..gpusim.banks import SharedAccess
 from ..gpusim.coalescing import WarpAccess
 from ..gpusim.divergence import DivergenceProfile
 from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig, grid_for
-from ..gpusim.memo import memoized
 from .calibration import (
     ACCESS_PATTERNS,
     DIVERGENCE,
@@ -28,7 +27,6 @@ from .calibration import (
 from .gemm_model import gemm_efficiency, gemm_grid_blocks
 
 
-@memoized(maxsize=32768)
 def gemm_spec(name: str, res: ResourceUsage, cal: GemmCalibration,
               m: int, n: int, k: int, repeats: int = 1,
               role: KernelRole = KernelRole.GEMM,
@@ -70,7 +68,6 @@ def gemm_spec(name: str, res: ResourceUsage, cal: GemmCalibration,
     )
 
 
-@memoized(maxsize=32768)
 def im2col_spec(name: str, res: ResourceUsage, col_bytes: float,
                 image_bytes: float, repeats: int = 1) -> KernelSpec:
     """One im2col launch: gather the receptive fields of one image into
@@ -104,7 +101,6 @@ def im2col_spec(name: str, res: ResourceUsage, col_bytes: float,
     )
 
 
-@memoized(maxsize=32768)
 def col2im_spec(name: str, res: ResourceUsage, col_bytes: float,
                 image_bytes: float, repeats: int = 1) -> KernelSpec:
     """Adjoint scatter of the column gradient back into image layout."""
@@ -128,7 +124,6 @@ def col2im_spec(name: str, res: ResourceUsage, col_bytes: float,
     )
 
 
-@memoized(maxsize=32768)
 def pointwise_spec(name: str, res: ResourceUsage, nbytes: float,
                    role: KernelRole = KernelRole.POINTWISE,
                    flops_per_element: float = 1.0,
@@ -154,7 +149,6 @@ def pointwise_spec(name: str, res: ResourceUsage, nbytes: float,
     )
 
 
-@memoized(maxsize=32768)
 def transpose_spec(name: str, res: ResourceUsage, nbytes: float,
                    shared_key: str = "gemm",
                    divergence_key: str = "default",
@@ -187,7 +181,6 @@ def transpose_spec(name: str, res: ResourceUsage, nbytes: float,
     )
 
 
-@memoized(maxsize=32768)
 def fft_spec(name: str, res: ResourceUsage, flops: float, nbytes: float,
              transforms: int, efficiency: float,
              inverse: bool = False,

@@ -215,7 +215,7 @@ class ConvImplementation(abc.ABC):
         self.check_config(config)
         prof = Profiler(device)
         with prof.session():
-            prof.launch_all(self.kernel_plan(config))
+            prof.launch(self.kernel_plan(config))
             for op in self.transfer_ops(config):
                 prof.record_transfer(op.kind, op.bytes, pinned=op.pinned,
                                      async_=op.async_, chunks=op.chunks)

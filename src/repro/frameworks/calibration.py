@@ -25,7 +25,6 @@ from typing import Tuple
 from ..gpusim.banks import SharedAccess
 from ..gpusim.coalescing import WarpAccess
 from ..gpusim.divergence import DivergenceProfile, UNIFORM
-from ..gpusim.memo import cached_instance_hash
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class ResourceUsage:
     shared_per_block: int
     block_threads: int
 
-
-# These singletons key every memoized spec-builder lookup.
-cached_instance_hash(ResourceUsage)
 
 
 #: Table II of the paper, plus the dominant block size of each
@@ -84,8 +80,6 @@ class GemmCalibration:
     asymptote_large: float = None
     m_switch: int = 128
 
-
-cached_instance_hash(GemmCalibration)
 
 
 #: GEMM efficiency per unrolling implementation.

@@ -17,7 +17,11 @@ that description into the quantities nvprof reports:
 * :mod:`~repro.gpusim.divergence` — SIMT lane masking → *warp
   execution efficiency*;
 * :mod:`~repro.gpusim.timing` — a roofline engine with
-  occupancy-dependent latency hiding → kernel *runtime* and *IPC*;
+  occupancy-dependent latency hiding that times a whole kernel plan in
+  one pass (:func:`~repro.gpusim.timing.time_plan`, over per-device
+  lookup tables registered in :mod:`~repro.gpusim.memo`) → a column
+  :class:`~repro.gpusim.timing.KernelTable` of *runtime*, *IPC* and
+  the metrics above;
 * :mod:`~repro.gpusim.allocator` — the allocation rule
   (:func:`~repro.gpusim.allocator.replay`: 512-byte rounding, then a
   capacity and a pressure check per buffer) and a device's peak
@@ -27,9 +31,10 @@ that description into the quantities nvprof reports:
   (:func:`~repro.gpusim.transfer.exposed_transfer_time`) → the Fig. 7
   transfer overheads (a discrete-event two-stream simulation in the
   test suite cross-checks that formula);
-* :mod:`~repro.gpusim.profiler` — an nvprof-like session that records
-  per-kernel metric rows and aggregates them runtime-weighted, the
-  method section V-C describes.
+* :mod:`~repro.gpusim.profiler` — an nvprof-like session that launches
+  whole plans and keeps their tables, whose rows
+  :mod:`~repro.gpusim.metrics` aggregates runtime-weighted, the method
+  section V-C describes.
 """
 
 from .device import DEVICES, DeviceSpec, K20X, K40C, M40, TITAN_X
@@ -38,7 +43,7 @@ from .banks import SharedAccess
 from .divergence import DivergenceProfile
 from .kernels import KernelSpec, LaunchConfig, KernelRole
 from .occupancy import OccupancyResult, occupancy
-from .timing import KernelTiming, time_kernel
+from .timing import KernelTable, KernelTiming, time_kernel, time_plan
 from .allocator import DeviceAllocator
 from .transfer import TransferEngine, TransferKind
 from .profiler import Profiler
@@ -61,8 +66,10 @@ __all__ = [
     "KernelRole",
     "OccupancyResult",
     "occupancy",
+    "KernelTable",
     "KernelTiming",
     "time_kernel",
+    "time_plan",
     "DeviceAllocator",
     "TransferEngine",
     "TransferKind",

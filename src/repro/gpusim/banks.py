@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .device import DeviceSpec
-from .memo import cached_instance_hash, memoized
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,6 @@ class SharedAccess:
             raise ValueError(f"active_lanes must be in [1,32], got {self.active_lanes}")
 
 
-# Access patterns are shared table constants hashed on every memo
-# lookup below; cache per instance.
-cached_instance_hash(SharedAccess)
-
-
-@memoized(maxsize=8192)
 def conflict_degree(device: DeviceSpec, access: SharedAccess) -> int:
     """Maximum number of distinct words mapping to one bank.
 
@@ -95,12 +88,6 @@ def shared_efficiency(device: DeviceSpec, accesses: Sequence[SharedAccess]) -> f
     """
     if not accesses:
         return 1.0
-    return _shared_efficiency(device, tuple(accesses))
-
-
-@memoized(maxsize=8192)
-def _shared_efficiency(device: DeviceSpec,
-                       accesses: Sequence[SharedAccess]) -> float:
     total_requested = 0.0
     total_required = 0.0
     # nvprof normalises "required" throughput against the nominal

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .device import DeviceSpec
-from .memo import cached_instance_hash, memoized
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,6 @@ class WarpAccess:
             raise ValueError(f"active_lanes must be in [1,32], got {self.active_lanes}")
 
 
-# Calibration tables share a few WarpAccess constants across every
-# kernel spec; their hash is consulted on each memo lookup below.
-cached_instance_hash(WarpAccess)
-
-
-@memoized(maxsize=8192)
 def transactions_per_access(device: DeviceSpec, access: WarpAccess) -> int:
     """Number of ``device.transaction_bytes`` segments one warp access
     touches."""
@@ -79,7 +72,6 @@ def transactions_per_access(device: DeviceSpec, access: WarpAccess) -> int:
     return len(segments)
 
 
-@memoized(maxsize=8192)
 def access_efficiency(device: DeviceSpec, access: WarpAccess) -> float:
     """nvprof-style efficiency: requested bytes / transferred bytes.
 

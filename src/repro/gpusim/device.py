@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping
 
 from ..errors import ProfileValidationError
-from .memo import cached_instance_hash
 
 
 @dataclass(frozen=True)
@@ -101,11 +100,6 @@ class DeviceSpec:
             f"{self.global_memory_bytes / 2**30:.0f} GiB @ "
             f"{self.memory_bandwidth / 1e9:.0f} GB/s"
         )
-
-
-# A handful of device instances are hashed on every memo-cache lookup
-# in the analytic layer; cache the 20-field hash per instance.
-cached_instance_hash(DeviceSpec)
 
 
 def spec_digest(device: "DeviceSpec") -> str:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memo import cached_instance_hash
-
 
 @dataclass(frozen=True)
 class DivergenceProfile:
@@ -52,8 +50,6 @@ class DivergenceProfile:
         if not (0.0 < self.tail_active_lanes <= 32.0):
             raise ValueError("tail_active_lanes must be in (0,32]")
 
-
-cached_instance_hash(DivergenceProfile)
 
 #: A kernel with no divergence at all.
 UNIFORM = DivergenceProfile()

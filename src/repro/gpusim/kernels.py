@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 from .coalescing import WarpAccess, COALESCED_FLOAT
 from .banks import SharedAccess
 from .divergence import DivergenceProfile, UNIFORM
-from .memo import cached_instance_hash
 
 
 class KernelRole(Enum):
@@ -144,21 +143,6 @@ class KernelSpec:
     def scaled(self, **changes) -> "KernelSpec":
         """Copy with fields replaced (kernel plans reuse templates)."""
         return replace(self, **changes)
-
-
-# Specs key every memo lookup in the timing engine.  The dataclass
-# hash walks all 17 fields; a handful of them (name, sizes, repeats)
-# already discriminate real plans, and hash/eq consistency only needs
-# equal specs to hash equal — rare collisions fall through to the full
-# field-wise __eq__.  The value is then cached per instance.
-def _spec_hash(self) -> int:
-    return hash((self.name, self.flops, self.gmem_read_bytes,
-                 self.gmem_write_bytes, self.repeats))
-
-
-KernelSpec.__hash__ = _spec_hash
-cached_instance_hash(KernelSpec)
-cached_instance_hash(LaunchConfig)
 
 
 def grid_for(items: int, per_block: int) -> int:

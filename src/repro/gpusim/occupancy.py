@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .device import DeviceSpec
-from .memo import memoized
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ def _shared_block_limit(device: DeviceSpec, shared_per_block: int) -> int:
     return device.shared_memory_per_sm // alloc
 
 
-@memoized(maxsize=8192)
 def occupancy(device: DeviceSpec, threads_per_block: int,
               regs_per_thread: int = 0, shared_per_block: int = 0) -> OccupancyResult:
     """Compute theoretical occupancy for a launch configuration.

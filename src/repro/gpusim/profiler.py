@@ -3,13 +3,13 @@
 The paper's methodology (section III-B) uses nvprof to collect five
 metrics and two events per kernel.  :class:`Profiler` plays that role
 for the analytic model: framework adapters *launch* kernel specs into
-an active session, and the session times them through the roofline
-engine and keeps one :class:`~repro.gpusim.timing.KernelTiming` row
-per launch in :attr:`Profiler.executions`.  The analysis harness reads
-those rows from the evaluation record of :mod:`repro.core.evalcache`
-and aggregates them with :mod:`repro.gpusim.metrics`: the
-runtime-weighted metric estimates of Fig. 6 and the hotspot shares of
-Fig. 4.
+an active session a plan at a time, and the session times each plan in
+one pass of the roofline engine and keeps the specs and one
+:class:`~repro.gpusim.timing.KernelTable` of their rows.  The analysis
+harness reads those rows from the evaluation record of
+:mod:`repro.core.evalcache` and aggregates them with
+:mod:`repro.gpusim.metrics`: the runtime-weighted metric estimates of
+Fig. 6 and the hotspot shares of Fig. 4.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from typing import List, Sequence
 
 from ..errors import ProfilerError
 from ..obs.context import get_obs
+from ..obs.metrics import NullRegistry
 from .device import DeviceSpec, K40C, spec_digest
 from .kernels import KernelSpec
-from .timing import KernelTiming, time_kernel
+from .timing import EMPTY_TABLE, KernelTable, KernelTiming, time_plan
 from .transfer import TransferEngine, TransferKind, TransferRecord
 
 
@@ -31,14 +32,15 @@ class Profiler:
 
         prof = Profiler(K40C)
         with prof.session():
-            impl.launch_forward(config, prof)
+            prof.launch(impl.kernel_plan(config))
         print(prof.gpu_time())
     """
 
     def __init__(self, device: DeviceSpec = K40C):
         self.device = device
-        #: One timing row per launch, in launch order.
-        self.executions: List[KernelTiming] = []
+        #: The launched specs and their timing table, in launch order.
+        self.specs: List[KernelSpec] = []
+        self.table: KernelTable = EMPTY_TABLE
         self.transfers = TransferEngine(device)
         self._active = False
         # Device identity label for the per-kernel time counters,
@@ -62,34 +64,39 @@ class Profiler:
 
     def reset(self) -> None:
         """Drop all recorded executions and transfers."""
-        self.executions.clear()
+        self.specs = []
+        self.table = EMPTY_TABLE
         self.transfers.reset()
 
     # -- recording ----------------------------------------------------------
 
-    def launch(self, spec: KernelSpec) -> KernelTiming:
-        """Time a kernel spec and record it.
+    def launch(self, specs: Sequence[KernelSpec]) -> KernelTable:
+        """Time a kernel plan in one pass and record it; returns the
+        plan's own table.
 
         Works outside a ``with`` block too (nvprof attaches to whole
         processes); the session form exists so tests can assert
         balanced usage.
         """
-        timing = time_kernel(self.device, spec)
-        self.executions.append(timing)
+        table = time_plan(self.device, specs)
+        self.specs.extend(specs)
+        self.table = table if not self.table.time_s else KernelTable(
+            *map(tuple.__add__, self.table, table))
         registry = get_obs().registry
-        registry.counter("gpusim_kernel_launches_total",
-                         role=spec.role.value).inc()
+        if isinstance(registry, NullRegistry):
+            return table
         # Cumulative simulated seconds per kernel — what the telemetry
         # dashboard's Fig-4-style hotspot panel aggregates.  Launches
         # happen only on evalcache misses (memoized dispatches replay
         # timings without re-launching), so this stays off the hot path.
-        registry.counter("gpusim_kernel_time_seconds_total",
-                         kernel=spec.name, role=spec.role.value,
-                         device=self._device_label).inc(timing.time_s)
-        return timing
-
-    def launch_all(self, specs: Sequence[KernelSpec]) -> List[KernelTiming]:
-        return [self.launch(s) for s in specs]
+        for kernel, role, time_s in zip(table.name, table.role,
+                                        table.time_s):
+            registry.counter("gpusim_kernel_launches_total",
+                             role=role).inc()
+            registry.counter("gpusim_kernel_time_seconds_total",
+                             kernel=kernel, role=role,
+                             device=self._device_label).inc(time_s)
+        return table
 
     def record_transfer(self, kind: TransferKind, nbytes: int,
                         pinned: bool = False, async_: bool = False,
@@ -102,6 +109,13 @@ class Profiler:
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def executions(self) -> List[KernelTiming]:
+        """One :class:`~repro.gpusim.timing.KernelTiming` row per
+        launch, in launch order, built from the specs and the table."""
+        return [KernelTiming(spec, *row[:-2])
+                for spec, row in zip(self.specs, zip(*self.table))]
+
     def gpu_time(self) -> float:
         """Total kernel time (excludes transfers), seconds."""
-        return sum(e.time_s for e in self.executions)
+        return sum(self.table.time_s)

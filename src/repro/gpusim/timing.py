@@ -25,16 +25,19 @@ memory-bound ones low IPC, as in Fig. 6.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
+import functools
+from collections import namedtuple
+from dataclasses import dataclass, fields
+from typing import Dict, Sequence
 
+from . import memo
 from .banks import conflict_degree, shared_efficiency
-from .coalescing import access_efficiency, effective_bandwidth_fraction
+from .coalescing import WarpAccess, access_efficiency, \
+    effective_bandwidth_fraction
 from .device import DeviceSpec
-from .divergence import divergence_slowdown, warp_execution_efficiency
+from .divergence import DivergenceProfile, divergence_slowdown, \
+    warp_execution_efficiency
 from .kernels import KernelSpec
-from .memo import memoized
 from .occupancy import achieved_occupancy, occupancy
 
 
@@ -104,12 +107,13 @@ _SATURATION_PARALLELISM = 30.0
 #: Extra parallelism demand for covering DRAM latency, relative to
 #: arithmetic latency.
 _MEMORY_LATENCY_FACTOR = 1.6
+_MEMORY_DEMAND = _SATURATION_PARALLELISM * _MEMORY_LATENCY_FACTOR
 
 
 @dataclass(frozen=True)
 class KernelTiming:
     """Runtime and metrics of one kernel launch (all launches if the
-    spec repeats)."""
+    spec repeats): one row of a :class:`KernelTable` with its spec."""
 
     spec: KernelSpec
     time_s: float
@@ -141,118 +145,183 @@ class KernelTiming:
         return self.spec.role.value
 
 
-def _utilisation(warps_resident: float, regs_per_thread: int,
-                 demand: float) -> float:
-    """Fraction of peak rate sustainable with this much parallelism.
+#: Columns of a :class:`KernelTable`: every :class:`KernelTiming` field
+#: after ``spec``, then the kernel's name and role string.
+TABLE_COLUMNS = tuple(f.name for f in fields(KernelTiming))[1:] + (
+    "name", "role")
 
-    ILP grows with register usage (more registers → deeper unrolled
-    independent chains), clamped to [1, 4].
+KernelTable = namedtuple("KernelTable", TABLE_COLUMNS)
+KernelTable.__doc__ = """The timing rows of a kernel plan as columns: one
+tuple per :data:`TABLE_COLUMNS` entry, in launch order.  Tuples of
+numbers and strings hold no per-kernel objects, so a table costs the
+garbage collector nothing once it has been seen."""
+
+#: The table of a plan that launched nothing.
+EMPTY_TABLE = KernelTable(*((),) * len(TABLE_COLUMNS))
+
+
+# -- per-device lookup tables ------------------------------------------------
+
+class _Table(dict):
+    """Values derived from their key on first lookup, by ``derive``."""
+
+    def __init__(self, derive):
+        super().__init__()
+        self.derive = derive
+        self.misses = 0
+
+    def __missing__(self, key):
+        self.misses += 1
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _occupancy_entry(device: DeviceSpec, shape: tuple) -> tuple:
+    """Occupancy, blocks per SM and ILP of (threads, regs, smem)."""
+    threads, regs, smem = shape
+    occ = occupancy(device, threads, regs, smem)
+    # ILP grows with register usage (more registers -> deeper unrolled
+    # independent chains), clamped to [1, 4].
+    return occ.theoretical, occ.blocks_per_sm, min(max(regs / 32.0, 1.0), 4.0)
+
+
+def _warp_entry(device: DeviceSpec, access: WarpAccess) -> tuple:
+    """nvprof efficiency and DRAM bandwidth fraction of a pattern."""
+    return (access_efficiency(device, access),
+            effective_bandwidth_fraction(device, access))
+
+
+def _shared_entry(device: DeviceSpec, accesses: tuple) -> tuple:
+    """Shared efficiency and worst conflict degree of an access set."""
+    return (shared_efficiency(device, accesses),
+            max((conflict_degree(device, a) for a in accesses), default=1))
+
+
+def _divergence_entry(device: DeviceSpec, profile: DivergenceProfile
+                      ) -> tuple:
+    """Warp execution efficiency and slowdown of a divergence profile."""
+    return (warp_execution_efficiency(profile, device.warp_size),
+            divergence_slowdown(profile))
+
+
+#: Table name -> the function deriving its entries from (device, key).
+_DERIVE = {"occupancy": _occupancy_entry, "warp": _warp_entry,
+           "shared": _shared_entry, "divergence": _divergence_entry}
+
+
+class _DeviceTables:
+    """One device's :data:`_DERIVE` tables and how many kernels have
+    read them; every kernel looks each table up once (``warp`` twice)."""
+
+    def __init__(self, device: DeviceSpec):
+        self.kernels = 0
+        for name, derive in _DERIVE.items():
+            setattr(self, name, _Table(functools.partial(derive, device)))
+
+
+#: Device spec -> its tables.  The spec is hashed once per plan.
+_tables = _Table(_DeviceTables)
+
+
+def _table_stats(name: str) -> Dict[str, int]:
+    tables = [getattr(t, name) for t in _tables.values()]
+    lookups = sum(t.kernels for t in _tables.values()) * (
+        2 if name == "warp" else 1)
+    misses = sum(t.misses for t in tables)
+    return {"hits": lookups - misses, "misses": misses,
+            "size": sum(map(len, tables))}
+
+
+for _name in _DERIVE:
+    memo.register(f"{__name__}.{_name}", _tables.clear,
+                  functools.partial(_table_stats, _name))
+
+
+# -- the timing loop ---------------------------------------------------------
+
+def time_plan(device: DeviceSpec, specs: Sequence[KernelSpec]) -> KernelTable:
+    """Time a kernel plan on ``device`` in one pass; returns its table.
+
+    Each kernel's fields are computed in scalar Python, in one fixed
+    order of operations, so a kernel times to the same bits in any
+    plan.  Occupancy, coalescing, bank-conflict and divergence values
+    come from the device's lookup tables (see :mod:`repro.gpusim.memo`).
     """
-    ilp = min(max(regs_per_thread / 32.0, 1.0), 4.0)
-    parallelism = warps_resident * ilp
-    return min(1.0, parallelism / demand)
+    tables = _tables[device]
+    tables.kernels += len(specs)
+    occ_table, warp_table = tables.occupancy, tables.warp
+    shared_table, div_table = tables.shared, tables.divergence
+    max_warps, peak_flops = device.max_warps_per_sm, device.peak_flops
+    bandwidth, overhead = (device.memory_bandwidth,
+                           device.kernel_launch_overhead_s)
+    clock_hz, sm_count = device.clock_hz, device.sm_count
+    smem_peak = (sm_count * device.shared_banks * device.bank_width_bytes
+                 * clock_hz * 2.0)  # 64-bit mode
+    flop_lanes, mem_lanes = device.warp_size * 2.0, device.warp_size * 4.0
+    max_ipc = device.max_ipc_per_sm
+    rows = []
+    for spec in specs:
+        launch = spec.launch
+        shape = (launch.block_threads, spec.regs_per_thread,
+                 spec.shared_per_block)
+        theoretical, blocks_per_sm, ilp = occ_table[shape]
+        ach = achieved_occupancy(device, theoretical, launch.grid_blocks,
+                                 blocks_per_sm)
+        parallelism = ach * max_warps * ilp
+        wee, div_slow = div_table[spec.divergence]
+
+        # --- compute phase ------------------------------------------------
+        flops = spec.flops
+        compute_util = min(1.0, parallelism / _SATURATION_PARALLELISM)
+        sustained_flops = (peak_flops * spec.compute_efficiency
+                           * compute_util * wee)
+        compute_t = flops * div_slow / sustained_flops if flops else 0.0
+
+        # --- global memory phase --------------------------------------------
+        read, write = spec.gmem_read_bytes, spec.gmem_write_bytes
+        mem_util = min(1.0, parallelism / _MEMORY_DEMAND)
+        gld, read_frac = warp_table[spec.load_pattern]
+        gst, write_frac = warp_table[spec.store_pattern]
+        if spec.timing_bandwidth_fraction is not None:
+            read_frac = write_frac = spec.timing_bandwidth_fraction
+        mem_t = 0.0
+        if read:
+            mem_t += read / (bandwidth * read_frac * mem_util)
+        if write:
+            mem_t += write / (bandwidth * write_frac * mem_util)
+
+        # --- shared memory phase --------------------------------------------
+        accesses, traffic = spec.shared_accesses, spec.shared_traffic_bytes
+        smem_eff, degree = shared_table[accesses]
+        shared_t, conflicts = 0.0, 0
+        if accesses and traffic:
+            shared_t = traffic * degree / (smem_peak * max(ach, 0.05) * 4)
+            # Bank-conflict events: replays beyond the first access,
+            # counted in 128-byte warp accesses of shared traffic.
+            conflicts = int(traffic / 128.0) * (degree - 1)
+
+        body = max(compute_t, mem_t, shared_t)
+        bound = ("compute" if body == compute_t else
+                 "memory" if body == mem_t else "shared")
+        time_one = body + overhead
+
+        # --- derived metrics ------------------------------------------------
+        # Issued warp-instructions: FLOP instructions (FMA = 2 FLOPs per
+        # lane) plus the overhead mix, inflated by divergence replay.
+        warp_instr = (flops / flop_lanes * (1.0 + spec.overhead_instr_ratio)
+                      + (read + write) / mem_lanes) * div_slow
+        cycles = max(time_one - overhead, 1e-12) * clock_hz
+        ipc = min(warp_instr / (cycles * sm_count), max_ipc)
+        load_conf = conflicts // 2
+        rows.append((time_one * spec.repeats, compute_t, mem_t, shared_t,
+                     bound, theoretical, ach, wee, gld if read else 0.0,
+                     gst if write else 0.0, smem_eff, ipc, load_conf,
+                     conflicts - load_conf, spec.name, spec.role.value))
+    return KernelTable(*zip(*rows)) if rows else EMPTY_TABLE
 
 
-@memoized(maxsize=131072)
 def time_kernel(device: DeviceSpec, spec: KernelSpec) -> KernelTiming:
-    """Time one kernel spec on ``device`` and derive its metrics.
-
-    Pure in ``(device, spec)`` — both frozen dataclasses — so results
-    are memoized (see :mod:`repro.gpusim.memo`): identical launches
-    repeated across sweep points, figure pipelines and serving batches
-    cost one dictionary lookup after the first evaluation.
-    """
-    occ = occupancy(device, spec.launch.block_threads,
-                    spec.regs_per_thread, spec.shared_per_block)
-    ach = achieved_occupancy(device, occ.theoretical,
-                             spec.launch.grid_blocks, occ.blocks_per_sm)
-    warps_resident = ach * device.max_warps_per_sm
-
-    wee = warp_execution_efficiency(spec.divergence, device.warp_size)
-    div_slow = divergence_slowdown(spec.divergence)
-
-    # --- compute phase ----------------------------------------------------
-    compute_util = _utilisation(warps_resident, spec.regs_per_thread,
-                                _SATURATION_PARALLELISM)
-    sustained_flops = (device.peak_flops * spec.compute_efficiency
-                       * compute_util * wee)
-    compute_t = spec.flops * div_slow / sustained_flops if spec.flops else 0.0
-
-    # --- global memory phase ----------------------------------------------
-    mem_util = _utilisation(warps_resident, spec.regs_per_thread,
-                            _SATURATION_PARALLELISM * _MEMORY_LATENCY_FACTOR)
-    if spec.timing_bandwidth_fraction is not None:
-        read_frac = write_frac = spec.timing_bandwidth_fraction
-    else:
-        read_frac = effective_bandwidth_fraction(device, spec.load_pattern)
-        write_frac = effective_bandwidth_fraction(device, spec.store_pattern)
-    read_bw = device.memory_bandwidth * read_frac * mem_util
-    write_bw = device.memory_bandwidth * write_frac * mem_util
-    mem_t = 0.0
-    if spec.gmem_read_bytes:
-        mem_t += spec.gmem_read_bytes / read_bw
-    if spec.gmem_write_bytes:
-        mem_t += spec.gmem_write_bytes / write_bw
-
-    # --- shared memory phase ----------------------------------------------
-    shared_t = 0.0
-    smem_eff = shared_efficiency(device, spec.shared_accesses)
-    conflicted = spec.shared_accesses and spec.shared_traffic_bytes
-    degree = max(conflict_degree(device, a)
-                 for a in spec.shared_accesses) if conflicted else 1
-    if conflicted:
-        smem_peak = (device.sm_count * device.shared_banks
-                     * device.bank_width_bytes * device.clock_hz * 2.0)  # 64-bit mode
-        shared_t = spec.shared_traffic_bytes * degree / (smem_peak * max(ach, 0.05) * 4)
-
-    body = max(compute_t, mem_t, shared_t)
-    if body == compute_t:
-        bound = "compute"
-    elif body == mem_t:
-        bound = "memory"
-    else:
-        bound = "shared"
-    time_one = body + device.kernel_launch_overhead_s
-    total = time_one * spec.repeats
-
-    # --- derived metrics ----------------------------------------------------
-    gld = access_efficiency(device, spec.load_pattern) if spec.gmem_read_bytes else 0.0
-    gst = access_efficiency(device, spec.store_pattern) if spec.gmem_write_bytes else 0.0
-
-    # Issued warp-instructions: FLOP instructions (FMA = 2 FLOPs per
-    # lane) plus the overhead mix, inflated by divergence replay.
-    flop_warp_instr = spec.flops / (device.warp_size * 2.0)
-    mem_warp_instr = (spec.gmem_read_bytes + spec.gmem_write_bytes) / (
-        device.warp_size * 4.0)
-    warp_instr = (flop_warp_instr * (1.0 + spec.overhead_instr_ratio)
-                  + mem_warp_instr) * div_slow
-    cycles = max(time_one - device.kernel_launch_overhead_s, 1e-12) * device.clock_hz
-    ipc = warp_instr / (cycles * device.sm_count)
-    ipc = min(ipc, device.max_ipc_per_sm)
-
-    # Bank-conflict events: replays beyond the first access, counted in
-    # 128-byte warp accesses of shared traffic.
-    conflicts = 0
-    if conflicted:
-        accesses = int(spec.shared_traffic_bytes / 128.0)
-        conflicts = accesses * (degree - 1)
-    load_conf = conflicts // 2
-    store_conf = conflicts - load_conf
-
-    return KernelTiming(
-        spec=spec,
-        time_s=total,
-        compute_time_s=compute_t,
-        memory_time_s=mem_t,
-        shared_time_s=shared_t,
-        bound=bound,
-        theoretical_occupancy=occ.theoretical,
-        achieved_occupancy=ach,
-        warp_execution_efficiency=wee,
-        gld_efficiency=gld,
-        gst_efficiency=gst,
-        shared_efficiency=smem_eff,
-        ipc=ipc,
-        shared_load_bank_conflicts=load_conf,
-        shared_store_bank_conflicts=store_conf,
-    )
+    """Time one kernel spec on ``device``: :func:`time_plan` of a
+    one-kernel plan, as a row."""
+    table = time_plan(device, (spec,))
+    return KernelTiming(spec, *(column[0] for column in table[:-2]))

@@ -81,7 +81,7 @@ def _elems(shape) -> int:
 def _streaming_time(prof: Profiler, name: str, passes_bytes: float) -> None:
     """Launch a bandwidth-bound kernel moving ``passes_bytes`` each way."""
     res = TABLE2_RESOURCES["caffe"]  # generic framework kernels
-    prof.launch(pointwise_spec(name, res, passes_bytes))
+    prof.launch([pointwise_spec(name, res, passes_bytes)])
 
 
 def _fc_time(fwd: Profiler, bwd: Profiler, layer: Linear,
@@ -90,9 +90,9 @@ def _fc_time(fwd: Profiler, bwd: Profiler, layer: Linear,
     res = TABLE2_RESOURCES["caffe"]
     cal = GEMM_CALIBRATION["caffe"]
     m, k = layer.out_features, layer.in_features
-    fwd.launch(gemm_spec("sgemm_fc_fwd", res, cal, m, batch, k))
-    bwd.launch(gemm_spec("sgemm_fc_bgrad", res, cal, k, batch, m))
-    bwd.launch(gemm_spec("sgemm_fc_wgrad", res, cal, m, k, batch))
+    fwd.launch([gemm_spec("sgemm_fc_fwd", res, cal, m, batch, k)])
+    bwd.launch([gemm_spec("sgemm_fc_bgrad", res, cal, k, batch, m),
+                gemm_spec("sgemm_fc_wgrad", res, cal, m, k, batch)])
 
 
 def layer_time_split(layer: Layer, in_shape, out_shape,

@@ -487,6 +487,8 @@ def load_metrics_snapshot(path: str) -> dict:
         except json.JSONDecodeError as exc:
             raise TraceSchemaError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "otherData" in doc:
+        if not isinstance(doc["otherData"], dict):
+            raise TraceSchemaError(f"{path}: otherData is not an object")
         doc = doc["otherData"].get("metrics")
         if doc is None:
             raise TraceSchemaError(
@@ -498,4 +500,19 @@ def load_metrics_snapshot(path: str) -> dict:
         raise TraceSchemaError(
             f"{path}: unsupported metrics schema_version {version!r} "
             f"(supported: {list(SUPPORTED_SCHEMA_VERSIONS)})")
+    for name in ("counters", "gauges", "histograms"):
+        section = doc.get(name, {})
+        if not isinstance(section, dict):
+            raise TraceSchemaError(f"{path}: {name} is not an object")
+        for series, value in section.items():
+            # A histogram exports a summary object of numbers.
+            summary = name == "histograms"
+            if summary != isinstance(value, dict) or not all(
+                    map(_is_number, value.values() if summary else [value])):
+                raise TraceSchemaError(f"{path}: {name} entry {series!r} "
+                                       f"has a malformed value {value!r}")
     return doc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)

@@ -389,6 +389,10 @@ def load_window_log(path: str) -> Tuple[dict, List[dict]]:
         docs = [json.loads(line) for line in raw[1:]]
     except json.JSONDecodeError as exc:
         raise TraceSchemaError(f"{path}: not valid JSONL: {exc}") from exc
+    for lineno, doc in enumerate([header] + docs, start=1):
+        if not isinstance(doc, dict):
+            raise TraceSchemaError(
+                f"{path}: line {lineno} is not a JSON object: {doc!r}")
     if header.get("format") != WINDOW_LOG_FORMAT:
         raise TraceSchemaError(
             f"{path}: not a telemetry window log "

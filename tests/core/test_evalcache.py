@@ -1,7 +1,9 @@
 """Tests for the shared analytic-evaluation cache."""
 
+import hashlib
 import json
 import os
+import sys
 import threading
 from dataclasses import replace
 
@@ -459,9 +461,37 @@ class TestOnePath:
         assert outside == []
 
 
+#: sha256 of the JSON store that ``all_runtime_sweeps()`` leaves in a
+#: fresh cache (518 records), recorded with the per-kernel timing
+#: engine that ``time_plan`` replaced (CPython 3.9 and 3.11 agree).
+#: CPython 3.12 made ``sum()`` of floats compensated, which moves some
+#: summed times in their last bit, so 3.12 and later have their own
+#: digest (3.12.1 and 3.13.0 agree).
+SWEEP_STORE_SHA256 = (
+    "624935edd8afdf113a4147ede74af37532befffe96ad0b4ab0cc06b3b5cd26e4"
+    if sys.version_info >= (3, 12) else
+    "6fd9616f90c3ffaca07fc43c255a43e2e2a132fec13087bd70d56416c56abdf5")
+
+
+class TestRecordIdentity:
+    """Rendered figures round to 2-4 digits; the stored records keep
+    every bit, so a last-bit drift anywhere in the model shows here."""
+
+    def test_sweep_store_is_bit_identical(self, tmp_path):
+        cache = EvalCache()
+        previous = evalcache.set_cache(cache)
+        try:
+            all_runtime_sweeps()
+        finally:
+            evalcache.set_cache(previous)
+        assert len(cache) == 518
+        with open(cache.save(str(tmp_path / "store.json")), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_STORE_SHA256
+
+
 class TestStoredRows:
-    """Records loaded from a JSON store carry flat rows; every kernel-row
-    consumer reads them exactly as it reads a fresh record's rows."""
+    """Records loaded from a JSON store and fresh records build the same
+    flat rows; every kernel-row consumer reads them alike."""
 
     def test_shares_and_summary_match_fresh_rows(self, tmp_path, cudnn):
         cache = EvalCache()
@@ -470,7 +500,8 @@ class TestStoredRows:
         cache.save(path)
         stored = EvalCache(path=path).peek(
             cache_key(cudnn.name, BASE_CONFIG, K40C))
-        assert type(stored.kernels[0]) is not type(fresh.kernels[0])
+        assert type(stored.kernels[0]) is type(fresh.kernels[0])
+        assert stored.kernels == fresh.kernels
         for fn in (runtime_shares, kernel_shares, weighted_summary):
             assert fn(stored.kernels) == fn(fresh.kernels)
 

@@ -150,9 +150,7 @@ def iteration_timeline(impl: ConvImplementation, config: ConvConfig,
     impl.check_config(config)
 
     # Time the kernels once (they repeat identically per iteration).
-    prof = Profiler(device)
-    kernel_times = [prof.launch(spec).time_s
-                    for spec in impl.kernel_plan(config)]
+    kernel_times = Profiler(device).launch(impl.kernel_plan(config)).time_s
     engine = TransferEngine(device)
     ops = [(op, engine.copy_time(op.bytes, pinned=op.pinned,
                                  chunks=op.chunks))

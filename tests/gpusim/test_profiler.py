@@ -20,14 +20,18 @@ def spec(name="k", flops=1e9, role=KernelRole.GEMM):
 class TestSession:
     def test_launch_records_execution(self):
         prof = Profiler(K40C)
-        t = prof.launch(spec())
+        table = prof.launch([spec()])
         assert len(prof.executions) == 1
-        assert prof.gpu_time() == pytest.approx(t.time_s)
+        assert prof.gpu_time() == pytest.approx(table.time_s[0])
 
     def test_launch_all(self):
+        """Successive plans append to the session in launch order."""
         prof = Profiler(K40C)
-        prof.launch_all([spec("a"), spec("b")])
-        assert [e.name for e in prof.executions] == ["a", "b"]
+        prof.launch([spec("a"), spec("b")])
+        prof.launch([spec("c")])
+        assert [e.name for e in prof.executions] == ["a", "b", "c"]
+        assert prof.table.name == ("a", "b", "c")
+        assert prof.gpu_time() == sum(e.time_s for e in prof.executions)
 
     def test_nested_session_rejected(self):
         prof = Profiler(K40C)
@@ -40,12 +44,12 @@ class TestSession:
         with prof.session():
             pass
         with prof.session():
-            prof.launch(spec())
+            prof.launch([spec()])
         assert prof.executions
 
     def test_reset(self):
         prof = Profiler(K40C)
-        prof.launch(spec())
+        prof.launch([spec()])
         prof.record_transfer(TransferKind.H2D, 1000)
         prof.reset()
         assert not prof.executions
@@ -55,9 +59,9 @@ class TestSession:
 class TestQueries:
     def test_hotspot_roles_grouping(self):
         prof = Profiler(K40C)
-        prof.launch(spec("g1", 5e10, KernelRole.GEMM))
-        prof.launch(spec("g2", 5e10, KernelRole.GEMM))
-        prof.launch(spec("t", 1e8, KernelRole.TRANSPOSE))
+        prof.launch([spec("g1", 5e10, KernelRole.GEMM),
+                     spec("g2", 5e10, KernelRole.GEMM),
+                     spec("t", 1e8, KernelRole.TRANSPOSE)])
         roles = runtime_shares(prof.executions)
         assert roles["GEMM"] > roles["transpose"]
         assert sum(roles.values()) == pytest.approx(1.0)

@@ -199,6 +199,20 @@ class TestMetricsSnapshotRoundTrip:
         path.write_text("[1, 2, 3]")
         with pytest.raises(TraceSchemaError, match="not a metrics snapshot"):
             load_metrics_snapshot(str(path))
+        # Valid JSON whose sections or values have the wrong shape.
+        for doc in ({"otherData": 5},
+                    {"otherData": None},
+                    {"counters": 5},
+                    {"counters": {}, "histograms": 7},
+                    {"counters": {}, "gauges": [1]},
+                    {"counters": {"a_total": "3"}},
+                    {"counters": {"a_total": True}},
+                    {"counters": {}, "gauges": {"g": None}},
+                    {"counters": {}, "histograms": {"h": 2.0}},
+                    {"counters": {}, "histograms": {"h": {"p99": "x"}}}):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(TraceSchemaError):
+                load_metrics_snapshot(str(path))
 
 
 class TestMetricsExport:

@@ -221,6 +221,15 @@ class TestExports:
         garbage.write_text("not json\n")
         with pytest.raises(TraceSchemaError, match="JSONL"):
             load_window_log(str(garbage))
+        # Valid JSON that is not an object, as the header or any line.
+        header = json.dumps({"type": "header", "format": "repro-telemetry",
+                             "schema_version": TELEMETRY_SCHEMA_VERSION})
+        for text in ("null\n", "5\n", "[1]\n", f"{header}\nnull\n",
+                     f"{header}\n5\n", f'{header}\n"window"\n'):
+            bad = tmp_path / "not-objects.jsonl"
+            bad.write_text(text)
+            with pytest.raises(TraceSchemaError, match="not a JSON object"):
+                load_window_log(str(bad))
 
     def test_openmetrics_render(self):
         text = render_openmetrics(self.build())

@@ -132,6 +132,5 @@ class TestTransferOpDataclass:
                        config=BASE_CONFIG, device="Tesla K40c",
                        supported=True, time_s=0.0, gpu_time_s=0.0,
                        transfer_time_s=0.0, exposed_transfer_s=0.0,
-                       peak_memory_bytes=0, oom=False, oom_bytes=None,
-                       kernels=())
+                       peak_memory_bytes=0, oom=False, oom_bytes=None)
         assert r.transfer_fraction == 0.0
