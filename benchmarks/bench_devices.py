@@ -22,20 +22,19 @@ Run as a script (``python benchmarks/bench_devices.py``) it exits
 non-zero on any gate failure.  A passing run writes
 ``benchmarks/results/BENCH_devices.json`` plus the rendered
 ``device_winners.txt`` only when the artifact is missing or one of its
-recorded fields other than ``host_wall_s`` differs, so a run that
-reproduces the recorded table leaves both files untouched; to record
-a new host wall, delete the artifact and rerun.  Under pytest it runs
+recorded fields other than ``host_wall_s`` differs (the rule in
+``benchmarks/artifacts.py``), so a run that reproduces the recorded
+table leaves both files untouched; to record a new host wall, delete
+the artifact and rerun.  Under pytest it runs
 the same sweep and asserts the same gates.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
-from typing import Optional
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -162,32 +161,16 @@ def main(argv=None) -> int:
     payload["host_wall_s"] = round(time.perf_counter() - t0, 3)
     print(_render_text(payload))
 
-    out = RESULTS_DIR / "BENCH_devices.json"
-    failures = check_gates(payload)
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    if failures or _recorded(out) == _recorded(payload):
-        print(f"\nleft {out} untouched")
-        return 1 if failures else 0
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    (RESULTS_DIR / "device_winners.txt").write_text(
-        _render_text(payload) + "\n")
-    print(f"\nwrote {out}")
-    return 0
+    from benchmarks.artifacts import finish
 
-
-def _recorded(source) -> Optional[dict]:
-    """The fields a run records, host timing aside, from a payload or
-    an artifact path (``None`` when the artifact is missing)."""
-    if isinstance(source, pathlib.Path):
-        if not source.exists():
-            return None
-        source = json.loads(source.read_text())
-    return {k: v for k, v in json.loads(json.dumps(source)).items()
-            if k != "host_wall_s"}
+    return finish(RESULTS_DIR / "BENCH_devices.json", payload,
+                  check_gates(payload), ("host_wall_s",), texts={
+                      RESULTS_DIR / "device_winners.txt":
+                          _render_text(payload) + "\n"},
+                  sort_keys=True)
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
+    ROOT = pathlib.Path(__file__).parent.parent
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     raise SystemExit(main())

@@ -17,21 +17,20 @@ byte-identical across all regimes — caching must never change output.
 Run as a script (``python benchmarks/bench_eval_cache.py [--quick]``)
 it exits non-zero if the warm/cold speedup falls below the CI gate
 (2x) or any regime's figures diverge.  A passing full run writes
-``benchmarks/results/BENCH_eval_cache.json`` only when the artifact is
-missing or one of its recorded fields other than the host timings
-differs; ``--quick`` writes nothing.  To record new host timings,
-delete the artifact and rerun.  Under pytest it runs in quick mode
-and asserts the same gates.
+``benchmarks/results/BENCH_eval_cache.json`` and its rendered
+``BENCH_eval_cache.txt`` only when the artifact is missing or one of
+its recorded fields other than the host timings differs (the rule in
+``benchmarks/artifacts.py``); ``--quick`` writes nothing.  To record
+new host timings, delete the artifact and rerun.  Under pytest it runs
+in quick mode, asserts the same gates and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 import time
-from typing import Optional
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -158,10 +157,11 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def bench_eval_cache_speedups(save_artifact):
-    """Benchmark-suite entry: quick mode plus the CI gates."""
+def bench_eval_cache_speedups():
+    """Benchmark-suite entry: quick mode plus the CI gates; writes
+    nothing."""
     payload = run_benchmark(repeats=2)
-    save_artifact("BENCH_eval_cache", _render_text(payload))
+    print(_render_text(payload))
     assert not check_gates(payload)
 
 
@@ -174,34 +174,15 @@ def main(argv=None) -> int:
     payload = run_benchmark(repeats=2 if args.quick else 5)
     print(_render_text(payload))
 
-    out = RESULTS_DIR / "BENCH_eval_cache.json"
-    failures = check_gates(payload)
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    if args.quick or failures or _recorded(out) == _recorded(payload):
-        print(f"\nleft {out} untouched")
-        return 1 if failures else 0
-    RESULTS_DIR.mkdir(exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {out}")
-    return 0
+    from benchmarks.artifacts import finish
 
-
-def _recorded(source) -> Optional[dict]:
-    """The fields a run records, host timings aside, from a payload or
-    an artifact path (``None`` when the artifact is missing)."""
-    if isinstance(source, pathlib.Path):
-        if not source.exists():
-            return None
-        source = json.loads(source.read_text())
-
-    def strip(node):
-        return {k: strip(v) if isinstance(v, dict) else v
-                for k, v in node.items() if k not in HOST_TIMINGS}
-
-    return strip(json.loads(json.dumps(source)))
+    return finish(RESULTS_DIR / "BENCH_eval_cache.json", payload,
+                  check_gates(payload), HOST_TIMINGS, write=not args.quick,
+                  texts={RESULTS_DIR / "BENCH_eval_cache.txt":
+                         _render_text(payload) + "\n"})
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "src"))
+    ROOT = pathlib.Path(__file__).parent.parent
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     raise SystemExit(main())

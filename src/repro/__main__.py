@@ -769,9 +769,8 @@ def _host_hotspots(top: int) -> str:
     """cProfile one reference serving run (dynamic batching + forced
     batch-1 over the same trace) and return the hottest-function table.
 
-    This profiles *host* time spent simulating — the quantity the
-    dispatch memo optimises — not simulated time; the run's
-    simulated report is identical to an unprofiled one.
+    This profiles *host* time spent simulating, not simulated time;
+    the run's simulated report is identical to an unprofiled one.
     """
     import cProfile
     import io

@@ -9,10 +9,8 @@
   rollup sources (replicas registered as they spawn, so restarts and
   scale-ups join the pipeline mid-run), each labeled with its
   device's ``name@digest``;
-* each replica's plan-cache and dispatch-memo stats become probes
-  (the memo's counters deliberately never enter the registry — see
-  :class:`~repro.core.evalcache.DispatchMemo` — so the *probe* path
-  is how its hit rate reaches the window log);
+* each replica's plan-cache stats become a probe, which is how their
+  hit rate reaches the window log;
 * replica health states are a state probe, recorded per window;
 * completions accepted by the fleet (post hedge-filtering) feed the
   per-tenant / per-shape / per-device latency percentiles;
@@ -81,8 +79,6 @@ class FleetTelemetry:
                                 device=device)
         self.rollups.add_probe(f"{replica.name}.plan_cache",
                                server.plan_cache.stats, device=device)
-        self.rollups.add_probe(f"{replica.name}.dispatch_memo",
-                               server.dispatch_memo_stats, device=device)
         self._make_recorder(replica.name, replica.tracer)
 
     def _replica_states(self) -> Dict[str, str]:

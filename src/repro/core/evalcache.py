@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import operator
 import os
 import threading
@@ -44,7 +43,6 @@ from typing import Dict, Optional, Tuple, Union
 from ..config import ConvConfig
 from ..errors import DeviceOOMError
 from ..frameworks.base import ConvImplementation
-from ..gpusim.allocator import replay
 from ..gpusim.device import DEVICES, DeviceSpec, K40C, spec_digest
 from ..gpusim.metrics import MetricSummary, weighted_summary
 from ..obs.context import get_obs
@@ -494,74 +492,6 @@ def cacheable(impl: ConvImplementation, device: DeviceSpec) -> bool:
         return False
     known = DEVICES.get(device.name)
     return known is device or known == device
-
-
-# ---------------------------------------------------------------------------
-# dispatch memo (serving fast path)
-# ---------------------------------------------------------------------------
-
-class DispatchMemo:
-    """In-process memo of a batch's device memory plan.
-
-    The serving scheduler's dispatch loop re-derives the same memory
-    plan — ``impl.memory_plan(config)`` — for the same ``(shape, batch,
-    implementation, device)`` point on every batch; a million-request
-    run repeats a few dozen points hundreds of thousands of times.
-    This memo caches the plan's buffers with their footprint, as
-    :func:`~repro.gpusim.allocator.replay` computes it from zero, so a
-    memo hit charges the allocation episode through
-    :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
-    without touching the adapter.
-
-    Keys carry a *fault-window epoch* (the serving plan cache's
-    corruption count): a fault plan that corrupts cached plans bumps
-    the epoch, so post-corruption dispatches recompute from the adapter
-    exactly as the unmemoized path would.  Entries are pure values —
-    the memo changes host wall-time only, never simulated time, stats
-    or traces; its own hit/miss counters deliberately stay out of the
-    metrics registry so memo-on and memo-off runs export byte-identical
-    reports.
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[tuple, Tuple[Tuple[Tuple[str, int], ...], int]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "entries": len(self._store),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-        }
-
-    def memory_plan(self, key: tuple, impl: ConvImplementation,
-                    config: ConvConfig
-                    ) -> Tuple[Tuple[Tuple[str, int], ...], int]:
-        """``(plan, total)`` for one dispatch point: the memory plan's
-        ``(tag, size)`` buffers and their footprint from zero.
-
-        ``key`` is the caller's full memo key — shape, batch,
-        implementation, device and epoch; ``impl``/``config`` are only
-        consulted on a miss.
-        """
-        entry = self._store.get(key)
-        if entry is None:
-            self.misses += 1
-            plan = tuple(impl.memory_plan(config))
-            entry = self._store[key] = (plan, replay(plan, 0, math.inf))
-        else:
-            self.hits += 1
-        return entry
 
 
 def evaluate(impl: ConvImplementation, config: ConvConfig,

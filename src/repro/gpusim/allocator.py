@@ -14,10 +14,9 @@ checked against the capacity and then against the capacity a
 memory-pressure window leaves, and the first one that does not fit
 raises with the footprint of the buffers before it.  The Fig. 5 peak
 (:meth:`~repro.frameworks.base.ConvImplementation.peak_memory_bytes`),
-the allocation timeline (:mod:`repro.core.memory_timeline`), the
-serving dispatch memo (:class:`~repro.core.evalcache.DispatchMemo`)
-and :meth:`DeviceAllocator.replay_transient` all charge memory
-through it.
+the allocation timeline (:mod:`repro.core.memory_timeline`) and
+:meth:`DeviceAllocator.replay_transient`, which charges each serving
+dispatch, all charge memory through it.
 """
 
 from __future__ import annotations
@@ -117,11 +116,12 @@ class DeviceAllocator:
         then free them all; returns the episode's peak.
 
         ``total`` is the plan's footprint as :func:`replay` computes it
-        from zero (the serving dispatch memo caches both), so a plan
-        that fits whole is charged without walking it.  Any other plan
-        goes through :func:`replay` from the baseline and raises its
-        error at the first buffer that does not fit.  The peak is
-        charged either way (the prefix's footprint on an error).
+        from zero (the serving scheduler takes it from the ranked
+        plan's Fig. 5 peak), so a plan that fits whole is charged
+        without walking it.  Any other plan goes through :func:`replay`
+        from the baseline and raises its error at the first buffer that
+        does not fit.  The peak is charged either way (the prefix's
+        footprint on an error).
         """
         start = self.baseline
         capacity = self.device.global_memory_bytes

@@ -18,6 +18,7 @@ from typing import List, Sequence
 
 from ..errors import ProfilerError
 from ..obs.context import get_obs
+from ..obs.hist import ordered_sum
 from ..obs.metrics import NullRegistry
 from .device import DeviceSpec, K40C, spec_digest
 from .kernels import KernelSpec
@@ -118,4 +119,4 @@ class Profiler:
 
     def gpu_time(self) -> float:
         """Total kernel time (excludes transfers), seconds."""
-        return sum(self.table.time_s)
+        return ordered_sum(self.table.time_s)

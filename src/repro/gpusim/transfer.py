@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional
 
+from ..obs.hist import ordered_sum
 from .device import DeviceSpec
 
 
@@ -80,14 +81,14 @@ class TransferEngine:
 
     @property
     def total_time(self) -> float:
-        return sum(r.time_s for r in self.records)
+        return ordered_sum(r.time_s for r in self.records)
 
     def synchronous_time(self) -> float:
         """Time of copies that block the compute stream."""
-        return sum(r.time_s for r in self.records if not r.async_)
+        return ordered_sum(r.time_s for r in self.records if not r.async_)
 
     def asynchronous_time(self) -> float:
-        return sum(r.time_s for r in self.records if r.async_)
+        return ordered_sum(r.time_s for r in self.records if r.async_)
 
     def reset(self) -> None:
         self.records.clear()

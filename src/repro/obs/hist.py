@@ -11,7 +11,7 @@ bench table are always the same quantity.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 #: The percentiles a distribution summary reports, in order.
 SUMMARY_PERCENTILES = (50.0, 95.0, 99.0)
@@ -33,6 +33,22 @@ def percentile(sorted_values: List[float], p: float) -> float:
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum from left to right, rounding after every addition.
+
+    CPython 3.12 made the built-in ``sum()`` of floats compensated, so
+    its result can differ in the last bit from this plain loop, which
+    is what ``sum()`` computed up to 3.11.  Simulated times and report
+    totals that same-seed digests cover are summed here, so those
+    digests hold on every interpreter.  An empty input sums to ``0``,
+    as with ``sum()``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def summarize(values: Sequence[float]) -> Dict[str, float]:
     """Distribution summary of raw (unsorted) observations.
 
@@ -51,7 +67,7 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         bad = next(v for v in values if not math.isfinite(v))
         raise ValueError(f"summarize requires finite values, got {bad}")
     ordered = sorted(values)
-    total = sum(ordered)
+    total = ordered_sum(ordered)
     out = {
         "count": len(ordered),
         "sum": total,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from .hist import summarize
+from .hist import ordered_sum, summarize
 
 #: A normalised label set: ``(("cause", "timeout"), ...)`` sorted by key.
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -128,7 +128,7 @@ class Histogram:
 
     @property
     def sum(self) -> float:
-        return sum(self.observations)
+        return ordered_sum(self.observations)
 
     def snapshot_value(self) -> Dict[str, float]:
         return summarize(self.observations)

@@ -6,9 +6,8 @@ A single simulated device drains the admission queue batch by batch:
 2. shed requests whose queueing deadline passed;
 3. ask the dynamic batcher for the next same-shape batch;
 4. resolve the batch's *ranked* plan list — plan-cache hit, or advisor
-   ranking on a miss — then replay the chosen implementation's memory
-   plan (memoized per shape, batch and implementation by the
-   :class:`~repro.core.evalcache.DispatchMemo`) through
+   ranking on a miss — then charge the chosen plan's footprint (its
+   Fig. 5 peak above the CUDA context) through
    :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`
    and advance the :class:`~repro.gpusim.timing.SimClock` by the
    simulated service time;
@@ -52,10 +51,9 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.advisor import Advisor, RankedPlan
-from ..core.evalcache import DispatchMemo
 from ..gpusim.device import spec_digest
 from ..errors import (DeviceOOMError, MemoryPressureError, ReproError,
                       TransientKernelError)
@@ -66,6 +64,7 @@ from ..gpusim.allocator import DeviceAllocator
 from ..gpusim.device import DeviceSpec, K40C
 from ..gpusim.timing import SimClock
 from ..obs.context import Observability, obs_session
+from ..obs.hist import ordered_sum
 from ..obs.slo import SLOMonitor, SLOPolicy, SLOReport
 from ..obs.timeseries import Rollups, TelemetryConfig
 from ..obs.tracer import SimTracer, TraceSampler
@@ -85,6 +84,13 @@ from .stats import ServingStats, StatsReport
 FORWARD_FRACTION = 1.0 / 3.0
 
 
+def _buffers(impl_name: str, key: ShapeKey,
+             batch: int) -> Iterator[Tuple[str, int]]:
+    """The memory plan of one dispatch, built only when walked."""
+    yield from resolve_implementation(impl_name).memory_plan(
+        batched_config(key, batch))
+
+
 class _RetriesExhausted(Exception):
     """Internal: one implementation burned its whole retry budget."""
 
@@ -98,8 +104,6 @@ class ServerConfig:
     timeout_s: float = 0.25
     device: DeviceSpec = K40C
     plan_cache_capacity: int = 128
-    memory_budget: Optional[int] = None   # bytes; None = device capacity
-    forward_only: bool = True
     resilience: ResilienceConfig = ResilienceConfig()
     #: Attach a simulated-time SLO monitor (:mod:`repro.obs.slo`).
     #: ``None`` (the default) keeps the run byte-identical to an
@@ -135,7 +139,6 @@ class Server:
 
     def __init__(self, config: ServerConfig = ServerConfig(),
                  advisor: Optional[Advisor] = None,
-                 record_timeline: bool = False,
                  fault_plan: Optional[FaultPlan] = None,
                  fault_seed: Optional[int] = None,
                  obs: Optional[Observability] = None):
@@ -167,19 +170,7 @@ class Server:
         self._pc_misses = registry.counter("serve_plan_cache_requests_total",
                                            device=self._device_label,
                                            result="miss")
-        self._forward_scale = FORWARD_FRACTION if config.forward_only else 1.0
-        #: Per-(shape, batch, implementation) memory plans, replayed on
-        #: every dispatch instead of re-deriving the allocation episode.
-        self._memo = DispatchMemo()
         self._fallback_limit = 1 + config.resilience.max_fallbacks
-        # (key, padded) -> LayerConfig; pure function of its key, so
-        # the frozen configs are shared across dispatches.
-        self._config_cache: Dict[Tuple[ShapeKey, int], object] = {}
-        self._record_timeline = record_timeline
-        #: (simulated time, bytes in use) when each dispatched batch's
-        #: buffers are charged and when they are released, when
-        #: timeline recording is on.
-        self.memory_timeline: List[Tuple[float, int]] = []
         self._allocator = DeviceAllocator(config.device,
                                           baseline=CONTEXT_BYTES)
         self._injector: Optional[FaultInjector] = None
@@ -235,13 +226,10 @@ class Server:
         return tracer
 
     def dispatch_memo_stats(self) -> Dict[str, object]:
-        """Hit/miss counters of the dispatch memo.
-
-        Deliberately *not* part of the metrics registry or the report:
-        the memo is purely a host-side optimisation, so its traffic
-        stays out of the simulated state that same-seed digests cover.
-        """
-        return self._memo.stats()
+        """Always empty: dispatch charges memory from the ranked plan
+        and keeps no memo.  The end-to-end benchmark harness still
+        reads it, and skips an empty dict."""
+        return {}
 
     # ------------------------------------------------------------------
 
@@ -254,14 +242,9 @@ class Server:
             plans = self.plan_cache.get_or_compute(
                 cache_key,
                 lambda: self.advisor.plan_ranked(
-                    batched_config(key, batch),
-                    memory_budget=self.config.memory_budget,
-                    device=self.config.device))
+                    batched_config(key, batch), device=self.config.device))
             sp.annotate(hit=hit, candidates=len(plans or ()))
         return plans
-
-    def _service_time(self, plan: RankedPlan) -> float:
-        return plan.time_s * self._forward_scale
 
     def _effective_cap(self) -> Optional[int]:
         """The degraded batch cap, dropped once pressure passes."""
@@ -275,18 +258,19 @@ class Server:
 
     # ------------------------------------------------------------------
 
-    def _dispatch(self, plan: RankedPlan, rank: int, config,
+    def _dispatch(self, plan: RankedPlan, rank: int, key: ShapeKey,
                   padded: int, requests: List[Request],
                   stats: ServingStats) -> None:
         """Run one batch on one implementation, retrying transient
         faults up to the resilience budget.
 
-        The memory plan comes from the dispatch memo (keyed by shape,
-        batch, implementation, device and the plan-cache corruption
-        epoch) and is replayed through
-        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`,
-        which allocates it through the allocation rule on top of the
-        device baseline and frees it again.
+        The batch is charged the plan's footprint above the CUDA
+        context — ``peak_memory_bytes - CONTEXT_BYTES``, which the
+        ranking already computed — through
+        :meth:`~repro.gpusim.allocator.DeviceAllocator.replay_transient`.
+        A ranked plan fits the bare device, so its memory plan is
+        built and walked buffer by buffer only when a memory-pressure
+        window (or a raised baseline) leaves less room than that.
 
         Raises :class:`_RetriesExhausted` when the budget burns out
         (the caller falls back to the next-ranked plan) and
@@ -294,22 +278,19 @@ class Server:
         memory plan does not fit (the caller splits or sheds).
         """
         impl_name = plan.implementation
-        impl = resolve_implementation(impl_name)
         allocator = self._allocator
         clock = self.clock
         injector = self._injector
         tracer = self.obs.tracer
-        buffers, total = self._memo.memory_plan(
-            (requests[0].key, padded, impl_name, self._device_key,
-             self.plan_cache.corruptions),
-            impl, config)
+        total = plan.peak_memory_bytes - CONTEXT_BYTES
         fill = len(requests)
         with tracer.span("serve.dispatch", cat="serve",
                          implementation=impl_name, rank=rank,
                          batch=padded, fill=fill) as sp:
             attempts = 0
             while True:
-                peak = allocator.replay_transient(buffers, total)
+                allocator.replay_transient(
+                    _buffers(impl_name, key, padded), total)
                 if injector is None:
                     break
                 try:
@@ -334,7 +315,7 @@ class Server:
                     continue
                 break
             start = clock.now_s
-            service = self._service_time(plan)
+            service = plan.time_s * FORWARD_FRACTION
             if injector is not None:
                 slowdown = injector.slowdown(start)
                 if slowdown != 1.0:
@@ -343,19 +324,17 @@ class Server:
             finish = clock.advance(service)
             if injector is not None:
                 self._breaker.record_success(impl_name)
-            if self._record_timeline:
-                self.memory_timeline += ((start, peak),
-                                         (finish, allocator.baseline))
             if tracer.recording:
-                self._kernel_leaves(tracer, impl, config, start, finish)
+                self._kernel_leaves(tracer, impl_name, key, padded, start,
+                                    finish)
         stats.record_dispatch(requests, start, finish, padded, fill,
                               impl_name)
         if rank > 0:
             stats.fallback_batches += 1
             stats.fallback_completions += fill
 
-    def _kernel_leaves(self, tracer, impl, config, start: float,
-                       finish: float) -> None:
+    def _kernel_leaves(self, tracer, impl_name: str, key: ShapeKey,
+                       padded: int, start: float, finish: float) -> None:
         """Lay the batch's simulated kernel launches back-to-back
         inside the dispatch window as leaf spans.
 
@@ -365,9 +344,10 @@ class Server:
         onto the served service time.  Traced runs only.
         """
         from ..core.evalcache import evaluate
-        record = evaluate(impl, config, self.config.device)
+        record = evaluate(resolve_implementation(impl_name),
+                          batched_config(key, padded), self.config.device)
         kernels = record.kernels
-        total = sum(k.time_s for k in kernels)
+        total = ordered_sum(k.time_s for k in kernels)
         if not kernels or total <= 0:
             return
         scale = (finish - start) / total
@@ -412,10 +392,6 @@ class Server:
             stats.oom_shed += len(requests)
             stats.record_shed("infeasible", len(requests))
             return
-        config = self._config_cache.get((key, padded))
-        if config is None:
-            config = self._config_cache[(key, padded)] = \
-                batched_config(key, padded)
         tracer = self.obs.tracer
         limit = self._fallback_limit
         for rank, plan in enumerate(plans[:limit]):
@@ -426,7 +402,7 @@ class Server:
                              implementation=plan.implementation, rank=rank)
                 continue
             try:
-                self._dispatch(plan, rank, config, padded, requests, stats)
+                self._dispatch(plan, rank, key, padded, requests, stats)
             except _RetriesExhausted:
                 continue            # substitute the next-ranked plan
             except MemoryPressureError:
@@ -483,8 +459,6 @@ class Server:
             tel.add_source("server", self.obs.registry,
                            device=self._device_label)
             tel.add_probe("plan_cache", self.plan_cache.stats,
-                          device=self._device_label)
-            tel.add_probe("dispatch_memo", self._memo.stats,
                           device=self._device_label)
             self.telemetry = tel
         self._breaker_base = (self._breaker.trips, self._breaker.skips)

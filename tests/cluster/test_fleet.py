@@ -198,7 +198,7 @@ class TestKills:
     def test_scheduled_kill_retires_replica(self):
         trace = small_trace(rate=2000)
         report = serve_cluster(trace, ClusterConfig(
-            replicas=3, server=small_server(), kills={1: 0.25}))
+            replicas=3, server=small_server(), kills=[(1, 0.25)]))
         victim = report.replicas[1]
         assert victim.outcome == "killed"
         assert victim.retired_s >= 0.25
@@ -212,7 +212,7 @@ class TestKills:
         with_kill = serve_cluster(trace, ClusterConfig(
             replicas=3, server=small_server(
                 policy=BatchPolicy(max_batch=64, max_wait_s=0.01)),
-            kills={1: 0.25}))
+            kills=[(1, 0.25)]))
         assert with_kill.requeued > 0
         # Router never sends new traffic to the dead replica.
         assert with_kill.replicas[1].report.duration_s <= \
@@ -222,7 +222,7 @@ class TestKills:
         trace = small_trace(rate=800)
         report = serve_cluster(trace, ClusterConfig(
             replicas=2, server=small_server(),
-            kills={0: 0.1, 1: 0.1}))
+            kills=[(0, 0.1), (1, 0.1)]))
         assert report.replicas_final == 0
         assert report.no_replica_shed > 0
 
@@ -230,7 +230,7 @@ class TestKills:
         trace = small_trace(duration=0.2, rate=500)
         report = serve_cluster(trace, ClusterConfig(
             replicas=2, server=small_server(),
-            kills={1: 0.05, 0: 10.0}))   # 0's kill lands after the run
+            kills=[(1, 0.05), (0, 10.0)]))   # 0's kill lands after the run
         assert report.kills == 1
         assert report.replicas[0].outcome == "ran"
 

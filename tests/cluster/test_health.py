@@ -187,13 +187,6 @@ class TestRetryBudget:
 
 
 class TestKillsBackCompat:
-    def test_kills_accepts_dict_and_pair_list(self):
-        trace = small_trace()
-        as_dict = run(trace, kills={1: 0.2})
-        as_list = run(trace, kills=[(1, 0.2)])
-        assert dumps(as_dict) == dumps(as_list)
-        assert as_dict.kills == 1
-
     def test_kill_schedule_orders_by_time(self):
         config = ClusterConfig(replicas=3, kills=[(2, 0.3), (0, 0.1)])
         assert config.kill_schedule() == [(0, 0.1), (2, 0.3)]

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import sys
 import threading
 from dataclasses import replace
 
@@ -464,13 +463,25 @@ class TestOnePath:
 #: sha256 of the JSON store that ``all_runtime_sweeps()`` leaves in a
 #: fresh cache (518 records), recorded with the per-kernel timing
 #: engine that ``time_plan`` replaced (CPython 3.9 and 3.11 agree).
-#: CPython 3.12 made ``sum()`` of floats compensated, which moves some
-#: summed times in their last bit, so 3.12 and later have their own
-#: digest (3.12.1 and 3.13.0 agree).
+#: The model sums times with ``obs.hist.ordered_sum``, not ``sum()``,
+#: so CPython 3.12's compensated ``sum()`` leaves it unchanged (see
+#: ``tests/test_sum_order.py``).
 SWEEP_STORE_SHA256 = (
-    "624935edd8afdf113a4147ede74af37532befffe96ad0b4ab0cc06b3b5cd26e4"
-    if sys.version_info >= (3, 12) else
     "6fd9616f90c3ffaca07fc43c255a43e2e2a132fec13087bd70d56416c56abdf5")
+
+
+def sweep_store_sha256(tmp_path) -> str:
+    """sha256 of the store ``all_runtime_sweeps()`` leaves in a fresh
+    cache."""
+    cache = EvalCache()
+    previous = evalcache.set_cache(cache)
+    try:
+        all_runtime_sweeps()
+    finally:
+        evalcache.set_cache(previous)
+    assert len(cache) == 518
+    with open(cache.save(str(tmp_path / "store.json")), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestRecordIdentity:
@@ -478,15 +489,7 @@ class TestRecordIdentity:
     every bit, so a last-bit drift anywhere in the model shows here."""
 
     def test_sweep_store_is_bit_identical(self, tmp_path):
-        cache = EvalCache()
-        previous = evalcache.set_cache(cache)
-        try:
-            all_runtime_sweeps()
-        finally:
-            evalcache.set_cache(previous)
-        assert len(cache) == 518
-        with open(cache.save(str(tmp_path / "store.json")), "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == SWEEP_STORE_SHA256
+        assert sweep_store_sha256(tmp_path) == SWEEP_STORE_SHA256
 
 
 class TestStoredRows:

@@ -1,8 +1,9 @@
-"""Fast-path invariants: the dispatch memo, the lazy head heap, bulk
-histogram observation, allocation replay, and sampled tracing must all
-be invisible in the simulated results — same seed, same bytes.  (The
-allocation replay is also checked against the per-buffer oracle over
-random plans in ``tests/gpusim/test_allocator.py``.)"""
+"""Fast-path invariants: charging dispatch memory from the ranked
+plan, the lazy head heap, bulk histogram observation, allocation
+replay, and sampled tracing must all be invisible in the simulated
+results — same seed, same bytes.  (The allocation replay is also
+checked against the per-buffer oracle over random plans in
+``tests/gpusim/test_allocator.py``.)"""
 
 import hashlib
 import json
@@ -48,7 +49,7 @@ SAMPLES = (0, 1, 4)
 #: Same-seed digests (first 16 hex digits of the sha256 of the
 #: sorted-key JSON) recorded with the scheduler that still dispatched
 #: through a second lane allocating and freeing every buffer — the
-#: reference the memoized replay must reproduce.  Per (fault plan,
+#: reference every faster dispatch path must reproduce.  Per (fault plan,
 #: max_batch): the report, then (registry snapshot, Chrome trace) at
 #: each of :data:`SAMPLES`.  Fault plans are scaled to the 1 s trace
 #: and every run starts from cold caches (see :func:`cold_caches`).
@@ -221,6 +222,22 @@ def server_digests(plan, max_batch):
     return (reports.pop(),) + tuple(cells)
 
 
+def fleet_chaos_digests(sample):
+    """The :data:`FLEET_DIGESTS` row of one fresh run."""
+    cold_caches()
+    cluster = Cluster(ClusterConfig(
+        replicas=4, policy="least-loaded",
+        health=HealthConfig(hedge_after_s=0.02),
+        fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=1.0,
+                                          replicas=4),
+        telemetry=TelemetryConfig(window_s=0.25)))
+    tracer = cluster.enable_tracing(sample=sample) if sample else None
+    report = digest(cluster.run(FLEET_TRACE).to_dict())
+    trace = None if tracer is None else digest(cluster_chrome_trace(
+        tracer, cluster.replica_tracers, cluster.obs.registry))
+    return report, trace
+
+
 class TestMemoByteIdentity:
     def test_plain_run_identical(self):
         assert server_digests("none", 64) == SERVER_DIGESTS[("none", 64)]
@@ -232,26 +249,15 @@ class TestMemoByteIdentity:
                                       "memory-pressure", "cache-chaos",
                                       "chaos"])
     def test_fault_plans_identical(self, plan):
-        # Chaos runs must not observe the memo — the fault ladder
-        # replays byte-exactly, batched and at batch 1.
+        # The fault ladder replays byte-exactly, batched and at
+        # batch 1, including the memory-pressure walks.
         for max_batch in (64, 1):
             assert (server_digests(plan, max_batch)
                     == SERVER_DIGESTS[(plan, max_batch)])
 
     @pytest.mark.parametrize("sample", sorted(FLEET_DIGESTS))
     def test_fleet_chaos_identical(self, sample):
-        cold_caches()
-        cluster = Cluster(ClusterConfig(
-            replicas=4, policy="least-loaded",
-            health=HealthConfig(hedge_after_s=0.02),
-            fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=1.0,
-                                              replicas=4),
-            telemetry=TelemetryConfig(window_s=0.25)))
-        tracer = cluster.enable_tracing(sample=sample) if sample else None
-        report = digest(cluster.run(FLEET_TRACE).to_dict())
-        trace = None if tracer is None else digest(cluster_chrome_trace(
-            tracer, cluster.replica_tracers, cluster.obs.registry))
-        assert (report, trace) == FLEET_DIGESTS[sample]
+        assert fleet_chaos_digests(sample) == FLEET_DIGESTS[sample]
 
     @pytest.mark.parametrize("case", sorted(FLEET_MATRIX))
     def test_fleet_matrix_identical(self, case):
@@ -286,33 +292,6 @@ class TestMemoByteIdentity:
         routed = sum(cluster.router.routed.values())
         assert routed > 0
         assert len(polls) <= 2 * routed
-
-    def test_memo_counts_hits(self):
-        server = Server(ServerConfig())
-        server.run(TRACE)
-        stats = server.dispatch_memo_stats()
-        assert stats["hits"] > 0
-        assert stats["entries"] == stats["misses"]
-        # One cold miss per distinct point, everything else a hit.
-        assert stats["hit_rate"] > 0.5
-
-    def test_cache_corruption_rolls_memo_epoch(self):
-        # The memo key embeds the plan-cache corruption counter; a
-        # chaos corruption must start a fresh epoch, not serve stale
-        # plans from before the flush.
-        # Long enough for the plan's corruption events to fire.
-        trace = generate_trace(TrafficSpec(duration_s=3.0, rate_rps=4000.0,
-                                           seed=7))
-        plain = Server(ServerConfig())
-        plain.run(trace)
-        chaos = Server(ServerConfig(),
-                       fault_plan=named_plan("cache-chaos"), fault_seed=11)
-        chaos.run(trace)
-        assert chaos.plan_cache.corruptions > 0
-        # cache-chaos leaves timing untouched, so the dispatch points
-        # repeat — every corruption re-misses them under the new epoch.
-        assert (chaos.dispatch_memo_stats()["entries"]
-                > plain.dispatch_memo_stats()["entries"])
 
 
 class TestHeadHeap:

@@ -1,12 +1,22 @@
 """Scheduler: virtual clock, determinism, batching wins, memory."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from repro.core.advisor import RankedPlan
+from repro.core.advisor import Advisor
+from repro.core.evalcache import EvalCache
+from repro.frameworks.calibration import CONTEXT_BYTES
+from repro.frameworks.registry import (resolve_implementation,
+                                       shared_implementations)
+from repro.gpusim.allocator import replay
+from repro.gpusim.device import DEVICES, K40C
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
-from repro.serve.request import shape_key
+from repro.serve.request import batched_config, shape_key
+from repro.serve.scheduler import FORWARD_FRACTION
 
 #: AlexNet conv2 — strong batching amortization, supported everywhere.
 KEY = shape_key(MODEL_SHAPES["AlexNet"][1][1])
@@ -139,37 +149,55 @@ class TestMemory:
         assert stats.completed == 64
 
     def test_infeasible_budget_sheds(self):
-        config = small_config(memory_budget=1)
-        stats = Server(config).run(arrivals([0.0] * 4))
+        # A device with 1 MB beside the CUDA context fits no plan.
+        tiny = replace(K40C, global_memory_bytes=CONTEXT_BYTES + 2**20)
+        stats = Server(small_config(device=tiny)).run(arrivals([0.0] * 4))
         assert stats.completed == 0
         assert stats.oom_shed == 4
-
-    def test_memory_timeline_recording(self):
-        server = Server(small_config(), record_timeline=True)
-        stats = server.run(arrivals([0.0] * 8))
-        assert server.memory_timeline
-        times = [t for t, _ in server.memory_timeline]
-        assert times == sorted(times)
-        # Allocations during a batch raise in_use above the baseline.
-        peak = max(m for _, m in server.memory_timeline)
-        assert peak > min(m for _, m in server.memory_timeline)
-        # The charged points reach exactly the reported (Fig. 5) peak.
-        assert peak == stats.peak_memory_mb * 2**20
+        assert stats.shed_by_cause == {"infeasible": 4}
 
     def test_peak_memory_reported(self):
-        stats = Server(small_config()).run(arrivals([0.0] * 8))
+        trace = generate_trace(TrafficSpec(duration_s=0.2, rate_rps=2000,
+                                           seed=3))
+        server = Server(small_config())
+        stats = server.run(trace)
         assert stats.peak_memory_mb > 0
+        # Fault-free, every cached ranking was dispatched at rank 0, and
+        # the reported (Fig. 5) peak is the largest of their peaks.
+        dispatched = [plans[0] for plans in server.plan_cache._entries.values()
+                      if plans]
+        assert len(dispatched) > 1
+        assert stats.peak_memory_mb * 2**20 == max(
+            plan.peak_memory_bytes for plan in dispatched)
+
+    def test_ranked_peak_is_the_memory_plan_footprint(self):
+        """Dispatch charges ``peak_memory_bytes - CONTEXT_BYTES`` without
+        building the memory plan; for every plan a serving plan cache
+        can hold, that is the plan's footprint from zero."""
+        keys = sorted({shape_key(config) for layers in MODEL_SHAPES.values()
+                       for _, config in layers})
+        advisor = Advisor(implementations=shared_implementations(),
+                          cache=EvalCache())
+        checked = 0
+        for device in DEVICES.values():
+            for key in keys:
+                for batch in (1, 2, 4, 8, 16, 32, 64):
+                    config = batched_config(key, batch)
+                    for plan in advisor.plan_ranked(config, device=device):
+                        impl = resolve_implementation(plan.implementation)
+                        assert (plan.peak_memory_bytes - CONTEXT_BYTES
+                                == replay(impl.memory_plan(config), 0,
+                                          math.inf)), (device.name, key,
+                                                       batch, plan)
+                        checked += 1
+        assert checked > len(DEVICES) * len(keys) * 7
 
 
 class TestServiceTime:
     def test_forward_only_scales_plan_time(self):
-        server = Server(ServerConfig(forward_only=True))
-        plan = RankedPlan(implementation="cuDNN", time_s=0.009,
-                          peak_memory_bytes=1)
-        assert server._service_time(plan) == pytest.approx(0.003)
-
-    def test_full_iteration_mode(self):
-        server = Server(ServerConfig(forward_only=False))
-        plan = RankedPlan(implementation="cuDNN", time_s=0.009,
-                          peak_memory_bytes=1)
-        assert server._service_time(plan) == pytest.approx(0.009)
+        # Inference is charged the forward share of the ranked
+        # training-iteration time.
+        server = Server(small_config())
+        server.run(arrivals([0.0]))
+        (plans,) = server.plan_cache._entries.values()
+        assert server.clock.now_s == plans[0].time_s * FORWARD_FRACTION
