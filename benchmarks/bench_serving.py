@@ -299,9 +299,11 @@ if pytest is not None:
         key = (CONV2_KEY, 32, K40C.name)
         compute = lambda: advisor.plan(batched_config(CONV2_KEY, 32))
         cache.get_or_compute(key, compute)  # warm
+        hits, misses = cache.hits, cache.misses
         plan = benchmark(cache.get_or_compute, key, compute)
         assert plan is not None
-        assert cache.hit_rate > 0.99
+        # Every timed lookup hit, however often the timer repeated it.
+        assert cache.hits > hits and cache.misses == misses
 
     @pytest.mark.benchmark(group="serving-throughput")
     def bench_serving_fastpath(benchmark):

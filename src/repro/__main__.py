@@ -416,9 +416,9 @@ def _cmd_chaos_cluster(args) -> int:
         cluster = Cluster(config)
         report = cluster.run(trace)
         completions = sorted(
-            (c.finish_s, c.latency_s)
+            (finish_s, finish_s - request.arrival_s)
             for r in cluster.replicas
-            for c in r.server.stats.completions)
+            for request, _, finish_s in r.server.stats.served())
         return report, completions
 
     def digest(report):

@@ -57,7 +57,7 @@ from ..obs.timeseries import TelemetryConfig
 from ..obs.tracer import SimTracer
 from ..rng import DEFAULT_SEED
 from ..serve.loadgen import Arrival
-from ..serve.request import Request, fast_request
+from ..serve.request import Request
 from ..serve.scheduler import ServerConfig
 from .autoscaler import AutoscalePolicy, Autoscaler
 from .health import HealthConfig, HealthPlane
@@ -198,7 +198,7 @@ class Cluster:
         self._trace_sample = 1
         self._next_index = 0
         self._peak_routable = 0
-        self._consumed: Dict[int, int] = {}      # completions collected
+        self._consumed: Dict[int, int] = {}      # dispatch-record cursors
         self._incarnations: Dict[int, int] = {}  # spawns per slot
         self._requeued = 0
         self._kills_applied = 0
@@ -435,9 +435,9 @@ class Cluster:
                 target.admit(request)
 
     def _route_arrival(self, arrival: Arrival, now_s: float) -> None:
-        request = fast_request(arrival.rid, arrival.model, arrival.layer,
-                               arrival.key, arrival.t_s,
-                               self.config.server.timeout_s)
+        request = Request(arrival.rid, arrival.model, arrival.layer,
+                          arrival.key, arrival.t_s,
+                          self.config.server.timeout_s)
         self._win_offered.append(arrival.t_s)
         if self.health is not None:
             self.health.budget.on_offer(arrival.model)
@@ -452,23 +452,24 @@ class Cluster:
         now = self.clock.now_s
         for replica in replicas:
             stats = replica.server.stats
-            start = self._consumed[replica.index]
-            comps = stats.completions
-            if len(comps) == start:
+            cursor = self._consumed[replica.index]
+            if stats.dispatch_count == cursor:
                 continue
-            for c in comps[start:]:
+            for request, start_s, finish_s in stats.served(cursor):
                 # Hedged rids complete once fleet-side: the winner is
                 # kept, the losing copy's completion (if it raced to
                 # execute anyway) is dropped here.
-                if filtering and not health.on_completion(c.request.rid,
+                if filtering and not health.on_completion(request.rid,
                                                           replica, now):
                     continue
+                arrival = request.arrival_s
+                latency = finish_s - arrival
                 self._win_completions.append(
-                    (c.finish_s, c.latency_s, c.queue_wait_s))
-                self._all_latencies.append(c.latency_s)
+                    (finish_s, latency, start_s - arrival))
+                self._all_latencies.append(latency)
                 if telemetry is not None:
-                    telemetry.observe(c, replica)
-            self._consumed[replica.index] = len(comps)
+                    telemetry.observe(request, start_s, finish_s, replica)
+            self._consumed[replica.index] = stats.dispatch_count
 
     def _retire_idle_drainers(self, now_s: float) -> None:
         for replica in [r for r in self.live if r.draining]:

@@ -86,10 +86,12 @@ class FleetTelemetry:
 
     # -- the loop hooks ----------------------------------------------------
 
-    def observe(self, completion, replica) -> None:
-        """One fleet-accepted completion (already hedge-filtered)."""
+    def observe(self, request, start_s: float, finish_s: float,
+                replica) -> None:
+        """One fleet-accepted served request (already hedge-filtered)
+        with its batch's start and finish times."""
         self.rollups.observe_completion(
-            completion, device=replica.server.device_label,
+            request, start_s, finish_s, device=replica.server.device_label,
             replica=replica.name)
 
     def poll(self, now_s: float) -> None:

@@ -235,16 +235,17 @@ class CapacityPlan:
 def _fleet_snapshot(cluster, offered: int) -> Tuple[dict, List[float]]:
     """End-to-end fleet snapshot for the SLO rules, shaped like a
     registry snapshot: cumulative counters plus full-run latency and
-    queue-wait histograms gathered from every replica's completions."""
+    queue-wait histograms gathered from every replica's served
+    requests."""
     latencies: List[float] = []
     waits: List[float] = []
     for replica in cluster.replicas:
         stats = replica.server.stats
         if stats is None:
             continue
-        for c in stats.completions:
-            latencies.append(c.latency_s)
-            waits.append(c.queue_wait_s)
+        for request, start_s, finish_s in stats.served():
+            latencies.append(finish_s - request.arrival_s)
+            waits.append(start_s - request.arrival_s)
     snapshot = {
         "counters": {
             "serve_requests_offered_total": float(offered),

@@ -52,15 +52,17 @@ scheduler, ``cluster.telemetry.FleetTelemetry`` for a fleet):
   delta like counters;
 * :meth:`add_state_probe` — a callable returning a point-in-time
   state map (replica health states), recorded as-of each flush;
-* :meth:`observe_completion` — one served request with its tenant /
-  shape / device / replica labels, aggregated into per-dimension
-  latency summaries (p50/p95/p99 via :func:`~repro.obs.hist.summarize`).
+* :meth:`observe_completion` — one served request with its batch's
+  start and finish times and its tenant / shape / device / replica
+  labels, aggregated into per-dimension latency summaries
+  (p50/p95/p99 via :func:`~repro.obs.hist.summarize`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .hist import summarize
@@ -73,12 +75,14 @@ TELEMETRY_SCHEMA_VERSION = 1
 WINDOW_LOG_FORMAT = "repro-telemetry"
 
 
+@lru_cache(maxsize=1024)
 def shape_label(key: Tuple[int, ...]) -> str:
     """Canonical rollup label of one request shape.
 
     Mirrors :func:`repro.core.evalcache.config_key` minus the batch
     dimension (a serving shape is batch-free until the batcher forms
-    one): ``i224.f64.k3.s1.c3.p1``.
+    one): ``i224.f64.k3.s1.c3.p1``.  Memoized: every served request
+    is labeled, over a few distinct shapes.
     """
     i, f, k, s, c, p = key
     return f"i{i}.f{f}.k{k}.s{s}.c{c}.p{p}"
@@ -179,26 +183,33 @@ class Rollups:
     def window_index(self, t_s: float) -> int:
         return int(t_s // self.window_s)
 
-    def observe_completion(self, completion, tenant: Optional[str] = None,
+    def observe_completion(self, request, start_s: float, finish_s: float,
+                           tenant: Optional[str] = None,
                            shape: Optional[str] = None,
                            device: Optional[str] = None,
                            replica: Optional[str] = None) -> None:
-        """Bucket one completion into the window of its ``finish_s``."""
-        wi = self.window_index(completion.finish_s)
-        lat = self._pending_lat.setdefault(
-            wi, {"tenant": {}, "shape": {}, "device": {}, "replica": {}})
-        latency = completion.latency_s
+        """Bucket one served request into the window of ``finish_s``:
+        its latency is ``finish_s`` less its arrival, and its queue
+        wait ``start_s`` less its arrival (``start_s`` and
+        ``finish_s`` bound the batch it rode in)."""
+        wi = self.window_index(finish_s)
+        lat = self._pending_lat.get(wi)
+        if lat is None:
+            lat = self._pending_lat[wi] = {"tenant": {}, "shape": {},
+                                           "device": {}, "replica": {}}
+        latency = finish_s - request.arrival_s
         if tenant is None:
-            tenant = completion.request.model
+            tenant = request.model
         if shape is None:
-            shape = shape_label(completion.request.key)
+            shape = shape_label(request.key)
         lat["tenant"].setdefault(tenant, []).append(latency)
         lat["shape"].setdefault(shape, []).append(latency)
         if device is not None:
             lat["device"].setdefault(device, []).append(latency)
         if replica is not None:
             lat["replica"].setdefault(replica, []).append(latency)
-        self._pending_wait.setdefault(wi, []).append(completion.queue_wait_s)
+        self._pending_wait.setdefault(wi, []).append(
+            start_s - request.arrival_s)
         self.completions_observed += 1
 
     # -- the poll/fold/flush machinery -------------------------------------

@@ -33,7 +33,7 @@ from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .loadgen import Arrival, MODEL_SHAPES, TrafficSpec, generate_trace, trace_summary
 from .plan_cache import PlanCache
 from .queue import AdmissionQueue
-from .request import Completion, Request, batched_config, shape_key
+from .request import Request, batched_config, shape_key
 from .resilience import BreakerState, CircuitBreaker, ResilienceConfig
 from .scheduler import Server, ServerConfig, serve_trace
 from .stats import (SHED_CAUSES, ServingStats, StatsReport,
@@ -46,7 +46,6 @@ __all__ = [
     "BatchPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "Completion",
     "DynamicBatcher",
     "MODEL_SHAPES",
     "PlanCache",

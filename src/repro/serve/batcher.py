@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .queue import AdmissionQueue
 from .request import Request, ShapeKey, batched_config
@@ -63,8 +63,7 @@ class BatchPolicy:
         return max(fill, min(next_pow2(fill), limit))
 
 
-@dataclass(frozen=True)
-class Batch:
+class Batch(NamedTuple):
     """A released batch: the requests plus the execution batch size."""
 
     requests: Tuple[Request, ...]
@@ -120,11 +119,7 @@ class DynamicBatcher:
             padded = self._padded_cache[fill] = self.policy.padded(fill)
         self.released += 1
         self.padded_slots += padded - fill
-        batch = Batch.__new__(Batch)
-        # Frozen-dataclass fast construction (see request.fast_request).
-        batch.__dict__.update(requests=tuple(requests), key=key,
-                              batch=padded)
-        return batch
+        return Batch(tuple(requests), key, padded)
 
     def release_at(self, queue: AdmissionQueue) -> float:
         """Earliest time at which the max-wait guard will release the

@@ -21,7 +21,7 @@ small-kernel 3x3 layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from ..config import ConvConfig
 from ..rng import DEFAULT_SEED, make_rng
@@ -76,9 +76,9 @@ MODEL_SHAPES: Dict[str, List[Tuple[str, ConvConfig]]] = {
 }
 
 
-@dataclass(frozen=True)
-class Arrival:
-    """One traced request arrival."""
+class Arrival(NamedTuple):
+    """One traced request arrival (an immutable record, like
+    :class:`~repro.serve.request.Request`)."""
 
     rid: int
     t_s: float
@@ -124,20 +124,31 @@ def _instant_rate(spec: TrafficSpec, t_s: float) -> float:
 
 
 def generate_trace(spec: TrafficSpec = TrafficSpec()) -> List[Arrival]:
-    """Materialise the arrival trace for ``spec`` (sorted by time)."""
+    """Materialise the arrival trace for ``spec`` (sorted by time).
+
+    Three draws per arrival, in this order: the exponential gap, the
+    model, the layer.  Drawing them in bulk would change the stream,
+    and with it every trace and report digest.
+    """
     rng = make_rng(spec.seed)
+    exponential, integers = rng.exponential, rng.integers
+    mix = [(model, [(layer, shape_key(config))
+                    for layer, config in MODEL_SHAPES[model]])
+           for model in spec.models]
+    n_models = len(mix)
+    gap = 1.0 / spec.rate_rps if spec.pattern == "poisson" else None
+    duration_s = spec.duration_s
     arrivals: List[Arrival] = []
     t = 0.0
     rid = 0
     while True:
-        t += rng.exponential(1.0 / _instant_rate(spec, t))
-        if t >= spec.duration_s:
+        t += exponential(gap if gap is not None
+                         else 1.0 / _instant_rate(spec, t))
+        if t >= duration_s:
             break
-        model = spec.models[int(rng.integers(len(spec.models)))]
-        layers = MODEL_SHAPES[model]
-        layer, config = layers[int(rng.integers(len(layers)))]
-        arrivals.append(Arrival(rid=rid, t_s=t, model=model, layer=layer,
-                                key=shape_key(config)))
+        model, layers = mix[int(integers(n_models))]
+        layer, key = layers[int(integers(len(layers)))]
+        arrivals.append(Arrival(rid, t, model, layer, key))
         rid += 1
     return arrivals
 

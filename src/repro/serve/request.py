@@ -10,9 +10,8 @@ they can ride in the same batch, and the plan cache keys on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..config import ConvConfig
 
@@ -41,9 +40,13 @@ def batched_config(key: ShapeKey, batch: int) -> ConvConfig:
                       stride=s, channels=c, padding=p)
 
 
-@dataclass(frozen=True)
-class Request:
-    """One single-sample inference request.
+class Request(NamedTuple):
+    """One single-sample inference request: an immutable record.
+
+    A serving run builds one per arrival, so it is a ``NamedTuple``:
+    built in one call, with no instance ``__dict__``, and assigning
+    to a field raises.  Like any tuple it compares equal to a plain
+    tuple of the same fields.
 
     Attributes
     ----------
@@ -76,50 +79,3 @@ class Request:
 
     def config(self, batch: int = 1) -> ConvConfig:
         return batched_config(self.key, batch)
-
-
-@dataclass(frozen=True)
-class Completion:
-    """Record of one served request."""
-
-    request: Request
-    start_s: float
-    finish_s: float
-    batch: int            # padded batch the request rode in
-    fill: int             # real requests in that batch
-    implementation: str   # paper name of the dispatched implementation
-
-    @property
-    def latency_s(self) -> float:
-        """Arrival-to-finish latency (queueing + service)."""
-        return self.finish_s - self.request.arrival_s
-
-    @property
-    def queue_wait_s(self) -> float:
-        return self.start_s - self.request.arrival_s
-
-
-def fast_request(rid: int, model: str, layer: str, key: ShapeKey,
-                 arrival_s: float, timeout_s: float) -> Request:
-    """Hot-path :class:`Request` constructor.
-
-    A frozen dataclass pays one ``object.__setattr__`` per field; at
-    hundreds of thousands of admissions per run that is a measurable
-    slice of the event loop.  Building the instance dict directly is
-    equivalent (same fields, same eq/hash) at a fraction of the cost.
-    """
-    r = Request.__new__(Request)
-    # update() bypasses the frozen __setattr__ without per-field calls.
-    r.__dict__.update(rid=rid, model=model, layer=layer, key=key,
-                      arrival_s=arrival_s, timeout_s=timeout_s)
-    return r
-
-
-def fast_completion(request: Request, start_s: float, finish_s: float,
-                    batch: int, fill: int, implementation: str) -> Completion:
-    """Hot-path :class:`Completion` constructor (see
-    :func:`fast_request`)."""
-    c = Completion.__new__(Completion)
-    c.__dict__.update(request=request, start_s=start_s, finish_s=finish_s,
-                      batch=batch, fill=fill, implementation=implementation)
-    return c

@@ -73,7 +73,7 @@ from .batcher import BatchPolicy, DynamicBatcher
 from .loadgen import Arrival
 from .plan_cache import PlanCache
 from .queue import AdmissionQueue
-from .request import Request, ShapeKey, batched_config, fast_request
+from .request import Request, ShapeKey, batched_config
 from .resilience import CircuitBreaker, ResilienceConfig
 from .stats import ServingStats, StatsReport
 
@@ -522,20 +522,20 @@ class Server:
         return True
 
     def telemetry_poll(self, now_s: float) -> None:
-        """Feed completions recorded since the last poll into the
+        """Feed the requests served since the last poll into the
         rollups, then fold/flush windows owed as of ``now_s``.  No-op
         without a telemetry config; never touches simulated state."""
         tel = self.telemetry
         if tel is None:
             return
-        completions = self.stats.completions
+        stats = self.stats
         cursor = self._tel_cursor
-        if cursor < len(completions):
+        if cursor < stats.dispatch_count:
             observe = tel.observe_completion
             device = self._device_label
-            for completion in completions[cursor:]:
-                observe(completion, device=device)
-            self._tel_cursor = len(completions)
+            for request, start_s, finish_s in stats.served(cursor):
+                observe(request, start_s, finish_s, device=device)
+            self._tel_cursor = stats.dispatch_count
         tel.poll(now_s)
 
     def finish(self) -> StatsReport:
@@ -597,8 +597,8 @@ class Server:
                     j = i
                     while j < n and pending[j].t_s <= now:
                         j += 1
-                    admit([fast_request(a.rid, a.model, a.layer, a.key,
-                                        a.t_s, timeout_s)
+                    admit([Request(a.rid, a.model, a.layer, a.key, a.t_s,
+                                   timeout_s)
                            for a in pending[i:j]])
                     i = j
                 shed_expired()

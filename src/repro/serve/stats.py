@@ -23,11 +23,11 @@ here for backward compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..obs.hist import percentile  # noqa: F401  (re-export, see docstring)
 from ..obs.metrics import MetricsRegistry
-from .request import Completion, fast_completion
+from .request import Request
 
 #: Scalar attribute -> the registry counter backing it.
 _COUNTERS = {
@@ -267,6 +267,16 @@ class StatsReport:
         )
 
 
+class _Dispatch(NamedTuple):
+    """One executed dispatch, as :class:`ServingStats` keeps it."""
+
+    requests: Tuple[Request, ...]
+    start_s: float
+    finish_s: float
+    batch: int            # padded batch the requests rode in
+    implementation: str   # paper name of the dispatched implementation
+
+
 def merge_shed_causes(*cause_maps: Dict[str, int]) -> Dict[str, int]:
     """Sum any number of ``shed_by_cause`` dicts.
 
@@ -286,16 +296,19 @@ class ServingStats:
     """Mutable accumulator the scheduler feeds during a run.
 
     Scalar counters read and write registry series (see module
-    docstring); raw completions stay on the object because the frozen
-    report needs exact percentiles over them.  Pass the run's registry
-    to share the store with the rest of the observability plane; the
-    default is a private one.
+    docstring).  Each executed dispatch is kept as one immutable
+    record — its requests, start and finish times, padded batch and
+    implementation — not as one object per served request; readers
+    walk the served requests through :meth:`served` from a cursor
+    they keep, and never see the record layout.  Pass the run's
+    registry to share the store with the rest of the observability
+    plane; the default is a private one.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.completions: List[Completion] = []
-        self.batch_fills: List[int] = []
+        self._dispatches: List[_Dispatch] = []
+        self._completed = 0
         # Hot-path metric caches.  Registry lookups normalise labels and
         # hash on every call; the scheduler hits the same handful of
         # series millions of times per run, so resolve each once.
@@ -355,10 +368,9 @@ class ServingStats:
     def record_dispatch(self, requests, start_s: float, finish_s: float,
                         padded: int, fill: int,
                         implementation: str) -> None:
-        """Record one released batch: its size and implementation
-        counters, its fill, and one :class:`Completion` per request.
-        One walk over the batch builds the completions and both
-        latency series."""
+        """Record one executed dispatch of ``fill`` requests: its size
+        and implementation counters, its fill, each request's latency
+        and queue wait, and one immutable record of the dispatch."""
         by_size = self._batch_counters.get(padded)
         if by_size is None:
             by_size = self._batch_counters[padded] = self.registry.counter(
@@ -374,36 +386,46 @@ class ServingStats:
         if fill_hist is None:
             fill_hist = self._fill_hist = self._histogram("serve_batch_fill")
         fill_hist.observe(fill)
-        self.batch_fills.append(fill)
         latency_hist = self._latency_hist
         if latency_hist is None:
             latency_hist = self._latency_hist = \
                 self._histogram("serve_latency_seconds")
             self._wait_hist = self._histogram("serve_queue_wait_seconds")
-        completions = self.completions
+        requests = tuple(requests)
+        self._dispatches.append(_Dispatch(requests, start_s, finish_s,
+                                          padded, implementation))
         if fill == 1:
-            r = requests[0]
-            completions.append(fast_completion(
-                r, start_s, finish_s, padded, fill, implementation))
-            arrival = r.arrival_s
+            arrival = requests[0].arrival_s
             latency_hist.observe(finish_s - arrival)
             self._wait_hist.observe(start_s - arrival)
         else:
-            latencies = []
-            waits = []
-            for r in requests:
-                completions.append(fast_completion(
-                    r, start_s, finish_s, padded, fill, implementation))
-                arrival = r.arrival_s
-                latencies.append(finish_s - arrival)
-                waits.append(start_s - arrival)
-            latency_hist.observe_many(latencies)
-            self._wait_hist.observe_many(waits)
+            latency_hist.observe_many([finish_s - r.arrival_s
+                                       for r in requests])
+            self._wait_hist.observe_many([start_s - r.arrival_s
+                                          for r in requests])
+        self._completed += fill
         completed = self._completed_counter
         if completed is None:
             completed = self._completed_counter = \
                 self._counter("serve_requests_completed_total")
         completed.inc(fill)
+
+    @property
+    def dispatch_count(self) -> int:
+        """Dispatches recorded so far: the cursor :meth:`served`
+        resumes from."""
+        return len(self._dispatches)
+
+    def served(self, cursor: int = 0
+               ) -> Iterator[Tuple[Request, float, float]]:
+        """``(request, start_s, finish_s)`` for every request served by
+        the dispatches recorded from index ``cursor`` on, in dispatch
+        order (a reader keeps :attr:`dispatch_count` as its next
+        cursor)."""
+        for requests, start_s, finish_s, _batch, _impl in \
+                self._dispatches[cursor:]:
+            for request in requests:
+                yield request, start_s, finish_s
 
     def record_shed(self, cause: str, n: int = 1) -> None:
         """Attribute ``n`` dropped requests to one failure cause."""
@@ -422,11 +444,12 @@ class ServingStats:
     def finalize(self, duration_s: float, plan_cache_stats: Dict[str, float],
                  peak_memory_bytes: int) -> StatsReport:
         # record_dispatch() already computed every latency once;
-        # sort that stream instead of walking the completions again.
+        # sort that stream instead of walking the records again.
+        completed = self._completed
         latencies = (sorted(self._histogram("serve_latency_seconds")
                             .observations)
-                     if self.completions else [])
-        n_batches = len(self.batch_fills)
+                     if completed else [])
+        n_batches = len(self._dispatches)
         total_padded = sum(size * count
                            for size, count in self.batch_histogram.items())
         causes = self.shed_by_cause
@@ -445,18 +468,17 @@ class ServingStats:
         return StatsReport(
             duration_s=duration_s,
             offered=self.offered,
-            completed=len(self.completions),
+            completed=completed,
             rejected=self.rejected,
             shed=self.shed,
             oom_splits=self.oom_splits,
             oom_shed=self.oom_shed,
-            throughput_rps=(len(self.completions) / duration_s
+            throughput_rps=(completed / duration_s
                             if duration_s > 0 else 0.0),
             latency_p50_ms=percentile(latencies, 50) * 1000,
             latency_p95_ms=percentile(latencies, 95) * 1000,
             latency_p99_ms=percentile(latencies, 99) * 1000,
-            mean_batch_fill=(sum(self.batch_fills) / n_batches
-                             if n_batches else 0.0),
+            mean_batch_fill=(completed / n_batches if n_batches else 0.0),
             mean_batch_size=(total_padded / n_batches if n_batches else 0.0),
             batch_histogram=self.batch_histogram,
             plan_cache=dict(plan_cache_stats),

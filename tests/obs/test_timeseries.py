@@ -14,16 +14,14 @@ from repro.obs.timeseries import (TELEMETRY_SCHEMA_VERSION, Rollups,
                                   shape_label, window_counter_total,
                                   window_log_lines, write_window_log)
 from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
-from repro.serve.request import Completion, Request
+from repro.serve.request import Request
 
 
-def make_completion(finish_s, rid=0, model="AlexNet",
-                    key=(224, 64, 3, 1, 3, 1)):
+def served(finish_s, rid=0, model="AlexNet", key=(224, 64, 3, 1, 3, 1)):
+    """``observe_completion``'s leading arguments for one request."""
     request = Request(rid=rid, model=model, layer="conv1", key=key,
                       arrival_s=finish_s - 0.01, timeout_s=1.0)
-    return Completion(request=request, start_s=finish_s - 0.005,
-                      finish_s=finish_s, batch=1, fill=1,
-                      implementation="cudnn")
+    return request, finish_s - 0.005, finish_s
 
 
 class TestConfig:
@@ -85,7 +83,7 @@ class TestFoldFlush:
 
     def test_completion_bucketed_by_finish_time(self):
         rollups = Rollups(window_s=1.0)
-        rollups.observe_completion(make_completion(2.4))
+        rollups.observe_completion(*served(2.4))
         rollups.poll(0.0)
         rollups.poll(3.0)
         by_index = {w["index"]: w for w in rollups.windows}
@@ -95,7 +93,7 @@ class TestFoldFlush:
 
     def test_latency_dimensions(self):
         rollups = Rollups(window_s=1.0)
-        rollups.observe_completion(make_completion(0.5), device="k40c@abc",
+        rollups.observe_completion(*served(0.5), device="k40c@abc",
                                    replica="r0")
         rollups.finalize(1.0)
         latency = rollups.windows[0]["latency"]
@@ -107,7 +105,7 @@ class TestFoldFlush:
 
     def test_finalize_marks_trailing_window_partial(self):
         rollups = Rollups(window_s=1.0)
-        rollups.observe_completion(make_completion(1.2))
+        rollups.observe_completion(*served(1.2))
         rollups.finalize(1.5)
         last = rollups.windows[-1]
         assert last["partial"] is True
@@ -117,15 +115,15 @@ class TestFoldFlush:
 
     def test_finalize_on_boundary_is_not_partial(self):
         rollups = Rollups(window_s=1.0)
-        rollups.observe_completion(make_completion(0.5))
+        rollups.observe_completion(*served(0.5))
         rollups.finalize(1.0)
         assert len(rollups.windows) == 1
         assert "partial" not in rollups.windows[0]
 
     def test_qps_uses_partial_span(self):
         rollups = Rollups(window_s=1.0)
-        rollups.observe_completion(make_completion(0.1))
-        rollups.observe_completion(make_completion(0.2, rid=1))
+        rollups.observe_completion(*served(0.1))
+        rollups.observe_completion(*served(0.2, rid=1))
         rollups.finalize(0.5)
         assert rollups.windows[0]["qps"] == pytest.approx(4.0)
 
@@ -178,7 +176,7 @@ class TestExports:
         rollups.add_source("server", registry, device="k40c@abc")
         rollups.poll(0.0)
         registry.counter("serve_sheds_total").inc(4)
-        rollups.observe_completion(make_completion(0.25))
+        rollups.observe_completion(*served(0.25))
         rollups.finalize(0.4)
         return rollups
 

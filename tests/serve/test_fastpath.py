@@ -28,7 +28,7 @@ from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
 from repro.serve.queue import AdmissionQueue
-from repro.serve.request import fast_request, shape_key
+from repro.serve.request import Request, shape_key
 
 from ..gpusim.allocator_oracle import episode
 
@@ -296,8 +296,7 @@ class TestMemoByteIdentity:
 
 class TestHeadHeap:
     def offer(self, queue, rid, key, arrival_s, timeout_s=10.0):
-        return queue.offer(fast_request(rid, "m", "l", key, arrival_s,
-                                        timeout_s))
+        return queue.offer(Request(rid, "m", "l", key, arrival_s, timeout_s))
 
     def scan_oldest(self, queue):
         """The O(lanes) reference the heap replaced."""

@@ -1,5 +1,7 @@
 """Load generator: determinism, arrival processes, shape mix."""
 
+import hashlib
+
 import pytest
 
 from repro.config import ConvConfig
@@ -88,6 +90,29 @@ class TestBursty:
     def test_bursty_deterministic(self):
         spec = TrafficSpec(duration_s=3.0, rate_rps=300, pattern="bursty", seed=4)
         assert generate_trace(spec) == generate_trace(spec)
+
+
+class TestStreamPin:
+    """The arrival stream itself is pinned, so a change to the order or
+    number of draws fails here rather than in a report digest."""
+
+    @staticmethod
+    def trace_sha256(spec):
+        h = hashlib.sha256()
+        for a in generate_trace(spec):
+            h.update(repr((a.rid, a.t_s, a.model, a.layer, a.key)).encode())
+        return h.hexdigest()
+
+    def test_poisson_stream(self):
+        spec = TrafficSpec(duration_s=2.0, rate_rps=6000.0, seed=7)
+        assert self.trace_sha256(spec) == (
+            "d20f6378939a59b86f323404667258d193cd70bef0dc20df77a61b3682136a85")
+
+    def test_bursty_stream(self):
+        spec = TrafficSpec(duration_s=2.0, rate_rps=3000.0, seed=3,
+                           pattern="bursty", burst_period_s=0.5)
+        assert self.trace_sha256(spec) == (
+            "ff72ac375844a9e2de9d599aab87e6a0bc682e79329ba3eafc647ff036777e36")
 
 
 class TestSummary:

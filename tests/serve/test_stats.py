@@ -1,9 +1,12 @@
 """Serving stats: percentiles, accumulation, report rendering."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
+from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
 from repro.serve.request import Request
 from repro.serve.stats import ServingStats, percentile
 
@@ -100,3 +103,35 @@ class TestReport:
         assert rep.throughput_rps == 0.0
         assert rep.shed_rate == 0.0
         assert rep.mean_batch_fill == 0.0
+
+
+class TestRetainedMemory:
+    """A finished run keeps one record per dispatch and two floats per
+    served request, not one object per request with its own dict."""
+
+    #: Bytes a finished server may hold per arrival.  Keeping a
+    #: dict-backed record per request and per completion retained
+    #: 712 B; one tuple per request and one record per dispatch retain
+    #: about 175 B (CPython 3.11).
+    BOUND_B = 400
+
+    def test_finished_server_retains_little_per_arrival(self):
+        trace = generate_trace(TrafficSpec(duration_s=2.0, rate_rps=6000.0,
+                                           seed=7))
+        Server(ServerConfig()).run(trace)  # warm every cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            server = Server(ServerConfig())
+            server.run(trace)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / len(trace) < self.BOUND_B
+
+    def test_request_is_an_immutable_record_without_a_dict(self):
+        req = request(0, 0.0)
+        with pytest.raises(AttributeError):
+            req.arrival_s = 1.0
+        assert not hasattr(req, "__dict__")
