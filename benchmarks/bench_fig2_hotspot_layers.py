@@ -1,7 +1,8 @@
 """Fig. 2 — runtime breakdown of GoogLeNet / VGG / OverFeat / AlexNet.
 
-Regenerates the per-layer-type shares of one training iteration and
-checks the paper's headline (convolution dominates, 86-94 %).
+Regenerates the per-layer-type shares of one training iteration; the
+claims ledger (``repro regression``) checks the paper's headline that
+convolution dominates.
 """
 
 import pytest
@@ -15,8 +16,6 @@ def bench_fig2_runtime_breakdown(benchmark, save_artifact):
                                  iterations=1)
     text = "\n\n".join(r.render() for r in results)
     save_artifact("fig2_hotspot_layers", text)
-    for r in results:
-        assert r.conv_share >= 0.80
     benchmark.extra_info["conv_shares"] = {
         r.model: round(r.conv_share, 4) for r in results}
 
@@ -25,5 +24,4 @@ def bench_fig2_runtime_breakdown(benchmark, save_artifact):
 @pytest.mark.parametrize("model", ["AlexNet", "GoogLeNet", "OverFeat", "VGG"])
 def bench_fig2_single_model(benchmark, model):
     """Per-model timing of the breakdown itself (simulator cost)."""
-    results = benchmark(hotspot_layer_analysis, models=[model])
-    assert results[0].conv_share > 0.8
+    benchmark(hotspot_layer_analysis, models=[model])

@@ -1,12 +1,14 @@
 """Fig. 3 (a-e) — runtime of the seven implementations over the five
 one-parameter sweeps around (64, 128, 64, 11, 1).
 
-Each benchmark regenerates one panel, prints the series the paper
-plots and re-checks its headline observation.
+Each benchmark regenerates one panel and prints the series the paper
+plots; the claims ledger (``repro regression``) checks the panels'
+observations.
 """
 
 import pytest
 
+from repro.core.ledger import CLAIMS
 from repro.core.runtime_comparison import runtime_sweep
 
 PANELS = {
@@ -26,15 +28,8 @@ def bench_fig3_sweep(benchmark, save_artifact, panel):
                                 iterations=1)
     save_artifact(f"fig3{panel}", result.render())
 
-    winners = [result.fastest_at(i) for i in range(len(result.xs))]
-    if sweep in ("batch", "filters"):
-        assert set(winners) == {"fbfft"}
-    elif sweep == "kernel":
-        assert winners[0] == "cuDNN" and winners[-1] == "fbfft"
-    elif sweep == "stride":
-        assert winners[0] == "fbfft"
-        assert set(winners[1:]) == {"cuDNN"}
-    benchmark.extra_info["winners"] = winners
+    benchmark.extra_info["winners"] = [result.fastest_at(i)
+                                       for i in range(len(result.xs))]
 
 
 @pytest.mark.benchmark(group="fig3")
@@ -54,9 +49,11 @@ def bench_fig3_headline_speedups(benchmark, save_artifact):
         return min(ratios), max(ratios), crossover
 
     lo, hi, crossover = benchmark.pedantic(run, rounds=1, iterations=1)
+    paper = {c.id: c.paper for c in CLAIMS}
     text = (f"fbfft advantage over other implementations (batch sweep): "
-            f"{lo:.2f}x .. {hi:.2f}x  (paper: 1.4x .. 9.7x)\n"
-            f"cuDNN -> fbfft crossover kernel size: {crossover}  (paper: 7)")
+            f"{lo:.2f}x .. {hi:.2f}x  (paper: "
+            f"{paper['fig3a.fbfft_advantage_min']}x .. "
+            f"{paper['fig3a.fbfft_advantage_max']}x)\n"
+            f"cuDNN -> fbfft crossover kernel size: {crossover}  "
+            f"(paper: {paper['fig3d.crossover_k']})")
     save_artifact("fig3_headlines", text)
-    assert lo > 1.0
-    assert 4 <= crossover <= 8

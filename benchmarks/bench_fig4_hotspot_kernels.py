@@ -14,11 +14,6 @@ def bench_fig4_hotspot_kernels(benchmark, save_artifact):
     save_artifact("fig4_hotspot_kernels", text)
 
     by_name = {r.implementation: r for r in results}
-    # The paper's headline: GEMM is the essence of unrolling-based
-    # convolutional layers.
-    for name in ("Caffe", "Torch-cunn", "Theano-CorrMM"):
-        assert by_name[name].dominant_role() == "GEMM"
-    assert by_name["cuda-convnet2"].dominant_role() == "direct conv"
     benchmark.extra_info["gemm_shares"] = {
         name: round(by_name[name].role_shares.get("GEMM", 0.0), 4)
         for name in ("Caffe", "Torch-cunn", "Theano-CorrMM")}

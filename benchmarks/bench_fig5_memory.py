@@ -21,15 +21,6 @@ def bench_fig5_memory_sweep(benchmark, save_artifact, panel):
                                 iterations=1)
     save_artifact(f"fig5{panel}", result.render())
 
-    # Ranking headline at every point: ccn2 lowest; fbfft highest
-    # wherever it can run at all (it sits out strides > 1).
-    for i in range(len(result.xs)):
-        peaks = {name: col[i] for name, col in result.peaks.items()
-                 if col[i] is not None}
-        assert min(peaks, key=peaks.get) == "cuda-convnet2"
-        if "fbfft" in peaks:
-            assert max(peaks, key=peaks.get) == "fbfft"
-
 
 @pytest.mark.benchmark(group="fig5")
 def bench_fig5_fbfft_fluctuation(benchmark, save_artifact):
@@ -46,4 +37,3 @@ def bench_fig5_fbfft_fluctuation(benchmark, save_artifact):
     save_artifact("fig5_fbfft_jump",
                   f"largest fbfft memory step in the input sweep: "
                   f"x{ratio:.2f} at input size {at} (pow-2 padding)")
-    assert ratio > 1.8

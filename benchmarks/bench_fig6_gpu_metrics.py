@@ -14,17 +14,6 @@ from repro.core.gpu_metrics import gpu_metric_profile, render_metric_rows
 def bench_fig6_gpu_metrics(benchmark, save_artifact):
     rows = benchmark(gpu_metric_profile)
     save_artifact("fig6_gpu_metrics", render_metric_rows(rows))
-
-    by_impl = {}
-    for r in rows:
-        by_impl.setdefault(r.implementation, []).append(r.summary)
-
-    # Paper bands re-checked at benchmark time.
-    for s in by_impl["cuda-convnet2"]:
-        assert 0.10 <= s.achieved_occupancy <= 0.25
-    for s in by_impl["Theano-fft"]:
-        assert s.warp_execution_efficiency < 0.85
-        assert s.shared_efficiency < 0.25
-    assert max(s.shared_efficiency for s in by_impl["cuDNN"]) > 1.0
     benchmark.extra_info["ccn2_occupancy"] = [
-        round(s.achieved_occupancy, 4) for s in by_impl["cuda-convnet2"]]
+        round(r.summary.achieved_occupancy, 4) for r in rows
+        if r.implementation == "cuda-convnet2"]

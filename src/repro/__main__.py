@@ -51,9 +51,10 @@ Commands
 ``slo <metrics.json> [--rules rules.json]``
     Evaluate declarative SLO rules against a saved metrics snapshot;
     a failing rule exits non-zero (CI gate).
-``regression [--baseline ...] [--tolerance ...]``
-    Diff the calibrated headline quantities against the stored
-    baseline; any drift beyond tolerance exits non-zero (CI gate).
+``regression [--json]``
+    Measure every row of the claims ledger (the paper's numbers, each
+    with the band the model must keep it in) and print the table; a
+    row outside its band exits non-zero (CI gate).
 
 ``serve``, ``chaos`` and ``compare`` also accept ``--trace PATH``
 (record the run's span tree) and ``--metrics [PATH]`` (emit the
@@ -853,37 +854,20 @@ def cmd_slo(args) -> int:
 def cmd_regression(args) -> int:
     import json
 
-    from .core.regression import (capture_headlines, compare, load_baseline,
-                                  save_baseline)
+    from .core.ledger import check, failures, render
 
-    if args.save:
-        head = save_baseline(args.baseline)
-        print(f"wrote {len(head)} headline quantities to {args.baseline}")
-        return 0
-    try:
-        baseline = load_baseline(args.baseline)
-    except OSError as exc:
-        raise ValueError(str(exc)) from exc
-    current = capture_headlines()
-    drifts = compare(baseline, current, rel_tolerance=args.tolerance)
+    results = check()
+    failed = failures(results)
     if args.json:
-        print(json.dumps(
-            {"baseline": args.baseline, "tolerance": args.tolerance,
-             "quantities": len(current), "passed": not drifts,
-             "drifts": [{"key": d.key, "baseline": d.baseline,
-                         "current": d.current, "relative": d.relative}
-                        for d in drifts]},
-            indent=2, sort_keys=True))
-    elif drifts:
-        print(table(["quantity", "baseline", "current", "drift"],
-                    [[d.key, f"{d.baseline:g}", f"{d.current:g}",
-                      f"{d.relative * 100:.1f}%"] for d in drifts],
-                    title=f"calibration drift beyond "
-                          f"{args.tolerance:.0%} tolerance"))
+        print(json.dumps({"passed": not failed,
+                          "claims": [r.to_dict() for r in results]},
+                         indent=2, sort_keys=True))
     else:
-        print(f"{len(current)} headline quantities within "
-              f"{args.tolerance:.0%} of {args.baseline}")
-    return 1 if drifts else 0
+        print(render(results))
+        if failed:
+            print(f"{len(failed)} of {len(results)} claims outside their "
+                  f"band: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def cmd_report(args) -> int:
@@ -1322,18 +1306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_slo.set_defaults(fn=cmd_slo)
 
     p_reg = sub.add_parser(
-        "regression", help="diff the calibrated headline quantities "
-                           "against the stored baseline (exits non-zero "
-                           "on drift)")
-    p_reg.add_argument("--baseline", metavar="PATH",
-                       default="benchmarks/calibration_baseline.json",
-                       help="baseline JSON path (default "
-                            "benchmarks/calibration_baseline.json)")
-    p_reg.add_argument("--tolerance", type=float, default=0.05,
-                       help="relative drift tolerance (default 0.05)")
-    p_reg.add_argument("--save", action="store_true",
-                       help="re-capture the headlines and overwrite the "
-                            "baseline instead of checking")
+        "regression", help="check the paper's claims against the model and "
+                           "print the claims ledger (exits non-zero when a "
+                           "claim leaves its band)")
     p_reg.add_argument("--json", action="store_true",
                        help="machine-readable output")
     p_reg.set_defaults(fn=cmd_regression)

@@ -18,8 +18,9 @@ plus :mod:`~repro.core.advisor` (the "assist practitioners
 identifying the implementations that best serve their CNN computation
 needs" goal, encoding the paper's summary recommendations as a
 queryable decision procedure), :mod:`~repro.core.report` (ASCII
-rendering) and :mod:`~repro.core.experiments` (the experiment
-registry DESIGN.md indexes).
+rendering), :mod:`~repro.core.experiments` (the experiment registry
+DESIGN.md indexes) and :mod:`~repro.core.ledger` (the paper's claims
+as numbers, each checked against its band).
 """
 
 from .evalcache import EvalCache, EvalRecord, evaluate, get_cache
@@ -38,7 +39,6 @@ from .memory_timeline import MemoryTimeline, memory_timeline
 from .layer_advisor import oracle_mix, per_layer_choices
 from .batch_advisor import batch_capacities, max_batch
 from .full_report import generate_report, write_report
-from .regression import capture_headlines, check_against
 from .validation import audit_all, audit_implementation
 from . import evalcache, export, report
 
@@ -79,8 +79,6 @@ __all__ = [
     "max_batch",
     "generate_report",
     "write_report",
-    "capture_headlines",
-    "check_against",
     "audit_all",
     "audit_implementation",
     "export",

@@ -4,8 +4,8 @@ Declarative service-level objectives evaluated over metrics snapshots
 (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot` dicts — live from
 a running registry, or loaded from a saved file).  A verdict is a pure
 function of ``(snapshot, rules)``: same inputs, byte-identical report,
-so a failing rule can gate CI the way the calibration-regression check
-does.
+so a failing rule can gate CI the way the claims ledger
+(``repro regression``) does.
 
 Rule kinds:
 

@@ -421,12 +421,12 @@ class TestValueTypes:
 
 
 class TestOnePath:
-    """Every model run behind the report, the calibration headlines and
-    the audit is a cache-miss computation of :func:`evaluate`."""
+    """Every model run behind the report, the claims ledger and the
+    audit is a cache-miss computation of :func:`evaluate`."""
 
     def test_every_profile_runs_inside_compute_record(self, monkeypatch):
+        from repro.core import ledger
         from repro.core.full_report import generate_report
-        from repro.core.regression import capture_headlines
         from repro.core.validation import audit_all
 
         real_compute = evalcache.compute_record
@@ -451,8 +451,8 @@ class TestOnePath:
         previous = evalcache.set_cache(EvalCache())
         memo.clear_all()
         try:
+            ledger.check()
             generate_report()
-            capture_headlines()
             audit_all(BASE_CONFIG)
         finally:
             evalcache.set_cache(previous)

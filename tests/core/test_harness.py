@@ -2,7 +2,8 @@
 
 These exercise the harness plumbing: result structure, rendering,
 support/OOM handling, experiment registry.  The *scientific* claims are
-asserted separately in tests/test_acceptance.py.
+checked separately, as rows of the claims ledger
+(:mod:`repro.core.ledger`, tests/core/test_ledger.py).
 """
 
 import pytest

@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core import ledger
 
 
 class TestParser:
@@ -493,51 +495,48 @@ class TestSloCommand:
 
 
 class TestRegressionCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["regression"])
-        assert args.baseline == "benchmarks/calibration_baseline.json"
-        assert args.tolerance == 0.05
-        assert not args.save
+    @pytest.mark.parametrize("option", [["--baseline", "b.json"], ["--save"],
+                                        ["--tolerance", "0.1"]],
+                             ids=lambda option: option[0])
+    def test_removed_options_are_unknown(self, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["regression"] + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_save_then_check_round_trip(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        assert main(["regression", "--save", "--baseline",
-                     str(path)]) == 0
-        assert "headline quantities" in capsys.readouterr().out
-        assert main(["regression", "--baseline", str(path)]) == 0
-        assert "within" in capsys.readouterr().out
+    def test_prints_the_ledger(self, capsys):
+        """The CI gate: every claim of the repository's model is in
+        its band."""
+        assert main(["regression"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("| id | claim | paper | band |")
+        assert "| fig3d.crossover_k |" in out
 
-    def test_drift_fails_with_table(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        assert main(["regression", "--save", "--baseline",
-                     str(path)]) == 0
-        doc = json.loads(path.read_text())
-        key = sorted(doc)[0]
-        doc[key] = doc[key] * 2 + 1.0    # force a drift on one quantity
-        path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["regression", "--baseline", str(path)]) == 1
-        assert "drift" in capsys.readouterr().out
-
-    def test_json_verdict(self, tmp_path, capsys):
-        path = tmp_path / "baseline.json"
-        assert main(["regression", "--save", "--baseline", str(path)]) == 0
-        capsys.readouterr()
-        assert main(["regression", "--baseline", str(path), "--json"]) == 0
+    def test_json_has_one_entry_per_row(self, capsys):
+        assert main(["regression", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
-        assert doc["quantities"] > 0
-        assert doc["drifts"] == []
+        assert [c["id"] for c in doc["claims"]] == [
+            c.id for c in ledger.CLAIMS]
+        row = next(c for c in doc["claims"] if c["id"] == "fig3d.crossover_k")
+        assert row == {"id": "fig3d.crossover_k", "figure": "fig3d",
+                       "claim": "first k at which fbfft beats cuDNN",
+                       "paper": 7, "band": "[4, 8]", "measured": 5,
+                       "residual": -2, "in_band": True}
 
-    def test_missing_baseline_fails_cleanly(self, capsys):
-        assert main(["regression", "--baseline",
-                     "/nonexistent/baseline.json"]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_checked_in_baseline_still_calibrated(self):
-        """The CI gate: the repo's stored baseline matches the current
-        simulator within tolerance."""
-        assert main(["regression"]) == 0
+    def test_row_outside_its_band_fails(self, monkeypatch, capsys):
+        claims = [dataclasses.replace(c, band="[6, 8]")
+                  if c.id == "fig3d.crossover_k" else c
+                  for c in ledger.CLAIMS]
+        monkeypatch.setattr(ledger, "CLAIMS", tuple(claims))
+        assert main(["regression"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.endswith("outside their band: fig3d.crossover_k")
+        assert main(["regression", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is False
+        assert [c["id"] for c in doc["claims"]
+                if c["in_band"] is False] == ["fig3d.crossover_k"]
 
 
 class TestClusterCommand:
