@@ -417,7 +417,7 @@ def _cmd_chaos_cluster(args) -> int:
         cluster = Cluster(config)
         report = cluster.run(trace)
         completions = sorted(
-            (finish_s, finish_s - request.arrival_s)
+            (finish_s, finish_s - request.t_s)
             for r in cluster.replicas
             for request, _, finish_s in r.server.stats.served())
         return report, completions

@@ -57,7 +57,6 @@ from ..obs.timeseries import TelemetryConfig
 from ..obs.tracer import SimTracer
 from ..rng import DEFAULT_SEED
 from ..serve.loadgen import Arrival
-from ..serve.request import Request
 from ..serve.scheduler import ServerConfig
 from .autoscaler import AutoscalePolicy, Autoscaler
 from .health import HealthConfig, HealthPlane
@@ -396,7 +395,7 @@ class Cluster:
                 self.health.on_kill(victim.slot, now_s)
             self._requeue_failed(evacuated, now_s)
 
-    def _requeue_failed(self, requests: Sequence[Request],
+    def _requeue_failed(self, requests: Sequence[Arrival],
                         now_s: float) -> None:
         """Re-route an *involuntary* evacuation (kill or eviction).
 
@@ -420,7 +419,7 @@ class Cluster:
                 cause="retry_budget_exhausted").inc(n)
         self._requeue(route, now_s)
 
-    def _requeue(self, requests: Sequence[Request], now_s: float) -> None:
+    def _requeue(self, requests: Sequence[Arrival], now_s: float) -> None:
         """Re-route requests evacuated from a draining/killed replica.
 
         They keep their original arrival time (so their deadline still
@@ -435,15 +434,12 @@ class Cluster:
                 target.admit(request)
 
     def _route_arrival(self, arrival: Arrival, now_s: float) -> None:
-        request = Request(arrival.rid, arrival.model, arrival.layer,
-                          arrival.key, arrival.t_s,
-                          self.config.server.timeout_s)
         self._win_offered.append(arrival.t_s)
         if self.health is not None:
             self.health.budget.on_offer(arrival.model)
-        target = self.router.route(request, self.live, now_s)
+        target = self.router.route(arrival, self.live, now_s)
         if target is not None:
-            target.admit(request)
+            target.admit(arrival)
 
     def _collect_completions(self, replicas: Sequence[Replica]) -> None:
         health = self.health
@@ -462,7 +458,7 @@ class Cluster:
                 if filtering and not health.on_completion(request.rid,
                                                           replica, now):
                     continue
-                arrival = request.arrival_s
+                arrival = request.t_s
                 latency = finish_s - arrival
                 self._win_completions.append(
                     (finish_s, latency, start_s - arrival))

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..faults.fleet import FleetFaultPlan
-from ..serve.request import Request
+from ..serve.loadgen import Arrival
 from .replica import Replica
 from .router import _least_loaded
 
@@ -402,7 +402,7 @@ class HealthPlane:
             if head is None:
                 continue
             request = head[1]
-            if t - request.arrival_s < hedge_after:
+            if t - request.t_s < hedge_after:
                 continue
             rid = request.rid
             if rid in self._hedges or rid in self._ignore:
@@ -426,7 +426,7 @@ class HealthPlane:
                 "hedge.issued", cat="health", start_s=t, end_s=t,
                 rid=rid, from_replica=replica.index,
                 to_replica=target.index,
-                queued_s=round(t - request.arrival_s, 6))
+                queued_s=round(t - request.t_s, 6))
 
     def on_completion(self, rid: int, replica: Replica,
                       now_s: float) -> bool:
@@ -456,8 +456,8 @@ class HealthPlane:
             self._ignore.add(rid)
         return True
 
-    def plan_requeue(self, requests: List[Request]
-                     ) -> Tuple[List[Request], List[Request]]:
+    def plan_requeue(self, requests: List[Arrival]
+                     ) -> Tuple[List[Arrival], List[Arrival]]:
         """Split an involuntary evacuation into ``(route, denied)``.
 
         A pending hedge's copy is skipped outright — its twin on the
@@ -467,8 +467,8 @@ class HealthPlane:
         Requests the tenant budget refuses land in ``denied`` and are
         shed fleet-side under ``retry_budget_exhausted``.
         """
-        route: List[Request] = []
-        denied: List[Request] = []
+        route: List[Arrival] = []
+        denied: List[Arrival] = []
         for request in requests:
             hedge = self._hedges.get(request.rid)
             if hedge is not None:

@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from ..faults import FaultPlan
 from ..obs.context import Observability, obs_session
 from ..obs.tracer import SimTracer, TraceSampler
-from ..serve.request import Request
+from ..serve.loadgen import Arrival
 from ..serve.scheduler import Server, ServerConfig
 from ..serve.stats import StatsReport
 
@@ -175,7 +175,7 @@ class Replica:
             self._root_span.__enter__()
         return self
 
-    def admit(self, request: Request) -> bool:
+    def admit(self, request: Arrival) -> bool:
         """Offer one routed request to this replica's admission queue."""
         self.new_work = True
         return self.server.admit((request,)) == 1
@@ -242,7 +242,7 @@ class Replica:
         self.release_s = batcher.release_at(queue)
         self.full = batcher.oldest_full(queue)
 
-    def cancel(self, request: Request) -> bool:
+    def cancel(self, request: Arrival) -> bool:
         """Unqueue a hedge's losing copy; ``False`` if not queued."""
         if self.server.queue.remove(request.key, request.rid) is None:
             return False
@@ -250,7 +250,7 @@ class Replica:
         self._refresh_due()
         return True
 
-    def start_drain(self, now_s: float) -> List[Request]:
+    def start_drain(self, now_s: float) -> List[Arrival]:
         """Stop accepting traffic and hand back the queued requests.
 
         The requests are *requeued*, not shed: they go back to the
@@ -269,7 +269,7 @@ class Replica:
                               requeued=len(evacuated))
         return evacuated
 
-    def kill(self, now_s: float) -> List[Request]:
+    def kill(self, now_s: float) -> List[Arrival]:
         """Fail the replica at the next batch boundary.
 
         Queued requests are handed back for re-routing exactly as in
@@ -284,7 +284,7 @@ class Replica:
         self.retire(max(now_s, self.server.clock.now_s), outcome="killed")
         return evacuated
 
-    def evict(self, now_s: float, outcome: str = "crashed") -> List[Request]:
+    def evict(self, now_s: float, outcome: str = "crashed") -> List[Arrival]:
         """Supervisor eviction: the health plane gave up on this
         replica (``outcome='crashed'`` when it is actually down,
         ``'evicted'`` for a responsive replica evicted on a false

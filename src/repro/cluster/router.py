@@ -36,7 +36,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..rng import make_rng
-from ..serve.request import Request, ShapeKey, batched_config
+from ..serve.loadgen import Arrival
+from ..serve.request import ShapeKey, batched_config
 from .replica import Replica
 
 #: Router policy names accepted by :func:`make_policy` and the CLI.
@@ -54,7 +55,7 @@ class RoutingPolicy:
 
     name = "abstract"
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         raise NotImplementedError
 
@@ -65,7 +66,7 @@ class RoundRobin(RoutingPolicy):
     def __init__(self) -> None:
         self._cursor = 0
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         chosen = replicas[self._cursor % len(replicas)]
         self._cursor += 1
@@ -75,7 +76,7 @@ class RoundRobin(RoutingPolicy):
 class LeastLoaded(RoutingPolicy):
     name = "least-loaded"
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         return _least_loaded(replicas, now_s)
 
@@ -88,7 +89,7 @@ class PowerOfTwo(RoutingPolicy):
     def __init__(self, seed: int) -> None:
         self._rng = make_rng(seed)
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         n = len(replicas)
         if n == 1:
@@ -107,7 +108,7 @@ class ShapeAffinity(RoutingPolicy):
         #: shape -> pinned replica index.
         self.pins: Dict[ShapeKey, int] = {}
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         pinned = self.pins.get(request.key)
         if pinned is not None:
@@ -163,7 +164,7 @@ class DeviceAffinity(RoutingPolicy):
         self._rankings[(key, present)] = ranking
         return ranking
 
-    def choose(self, replicas: Sequence[Replica], request: Request,
+    def choose(self, replicas: Sequence[Replica], request: Arrival,
                now_s: float) -> Replica:
         pinned = self.pins.get(request.key)
         if pinned is not None:
@@ -226,7 +227,7 @@ class Router:
         self.decisions: Optional[List[Tuple[int, int]]] = \
             [] if record_decisions else None
 
-    def route(self, request: Request, replicas: Sequence[Replica],
+    def route(self, request: Arrival, replicas: Sequence[Replica],
               now_s: float) -> Optional[Replica]:
         """Pick a routable replica for ``request``; ``None`` when the
         whole fleet is down or draining."""

@@ -244,8 +244,8 @@ def _fleet_snapshot(cluster, offered: int) -> Tuple[dict, List[float]]:
         if stats is None:
             continue
         for request, start_s, finish_s in stats.served():
-            latencies.append(finish_s - request.arrival_s)
-            waits.append(start_s - request.arrival_s)
+            latencies.append(finish_s - request.t_s)
+            waits.append(start_s - request.t_s)
     snapshot = {
         "counters": {
             "serve_requests_offered_total": float(offered),

@@ -285,6 +285,14 @@ DIVERGENCE = {
 #: anything (CUDA context + framework runtime), bytes.
 CONTEXT_BYTES = 60 * 2**20
 
+#: Share of a full training iteration spent in the forward pass: one
+#: iteration is a forward pass plus two backward passes of equal
+#: direct-algorithm cost (see
+#: :attr:`repro.config.ConvConfig.training_flops`).  Inference serving
+#: and the per-layer forward/backward split both apply it to
+#: whole-iteration kernel plans.
+FORWARD_FRACTION = 1.0 / 3.0
+
 #: Bytes per element everywhere (the paper benchmarks fp32).
 ITEMSIZE = 4
 #: Bytes per complex frequency-domain element (complex64).

@@ -33,7 +33,8 @@ from ..config import ConvConfig
 from ..core.evalcache import evaluate
 from ..errors import ShapeError
 from ..frameworks.base import ConvImplementation
-from ..frameworks.calibration import GEMM_CALIBRATION, ITEMSIZE, TABLE2_RESOURCES
+from ..frameworks.calibration import (FORWARD_FRACTION, GEMM_CALIBRATION,
+                                      ITEMSIZE, TABLE2_RESOURCES)
 from ..frameworks.registry import get_implementation
 from ..frameworks._plans import gemm_spec, pointwise_spec
 from ..gpusim.device import DeviceSpec, K40C
@@ -50,13 +51,6 @@ from .lrn import LocalResponseNorm
 from .module import Layer
 from .pooling import _Pool2d
 from .relu import ReLU
-
-
-#: Share of a full training iteration spent in the forward pass (the
-#: same one-forward-plus-two-equal-backward convention the serving
-#: scheduler's ``FORWARD_FRACTION`` uses) — applied to convolution
-#: layers, whose kernel plans cover the whole iteration.
-_FORWARD_FRACTION = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,9 @@ def layer_time_split(layer: Layer, in_shape, out_shape,
     """Simulated (forward, backward) time of a single layer, seconds.
 
     Convolutions run as whole-iteration kernel plans, so their split
-    applies the :data:`_FORWARD_FRACTION` convention; every other
-    layer type launches its forward- and backward-pass kernels into
-    separate profilers and reports the exact split.
+    applies :data:`~repro.frameworks.calibration.FORWARD_FRACTION`;
+    every other layer type launches its forward- and backward-pass
+    kernels into separate profilers and reports the exact split.
     """
     if isinstance(layer, Conv2d):
         config = layer.conv_config(in_shape)
@@ -113,7 +107,7 @@ def layer_time_split(layer: Layer, in_shape, out_shape,
             # AlexNet's stride-4 conv1 falls back to CorrMM).
             conv_impl = get_implementation("theano-corrmm")
         total = evaluate(conv_impl, config, device).gpu_time_s
-        forward = total * _FORWARD_FRACTION
+        forward = total * FORWARD_FRACTION
         return forward, total - forward
 
     fwd, bwd = Profiler(device), Profiler(device)

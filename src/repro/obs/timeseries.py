@@ -197,7 +197,7 @@ class Rollups:
         if lat is None:
             lat = self._pending_lat[wi] = {"tenant": {}, "shape": {},
                                            "device": {}, "replica": {}}
-        latency = finish_s - request.arrival_s
+        latency = finish_s - request.t_s
         if tenant is None:
             tenant = request.model
         if shape is None:
@@ -209,7 +209,7 @@ class Rollups:
         if replica is not None:
             lat["replica"].setdefault(replica, []).append(latency)
         self._pending_wait.setdefault(wi, []).append(
-            start_s - request.arrival_s)
+            start_s - request.t_s)
         self.completions_observed += 1
 
     # -- the poll/fold/flush machinery -------------------------------------

@@ -9,7 +9,8 @@ batches, unrolling at batch 1 — the Fig. 3a crossover, live).  The
 subsystem composes the existing pieces:
 
 * :mod:`repro.serve.request` / :mod:`repro.serve.queue` — the request
-  model and a bounded admission queue with timeout-based shedding;
+  model (the trace's own arrival records) and a bounded admission
+  queue that sheds by one timeout;
 * :mod:`repro.serve.batcher` — dynamic batching: coalesce same-shape
   requests under a max-batch / max-wait policy, padded to power-of-two
   buckets so the plan cache stays small;
@@ -33,7 +34,7 @@ from .batcher import Batch, BatchPolicy, DynamicBatcher
 from .loadgen import Arrival, MODEL_SHAPES, TrafficSpec, generate_trace, trace_summary
 from .plan_cache import PlanCache
 from .queue import AdmissionQueue
-from .request import Request, batched_config, shape_key
+from .request import batched_config, shape_key
 from .resilience import BreakerState, CircuitBreaker, ResilienceConfig
 from .scheduler import Server, ServerConfig, serve_trace
 from .stats import (SHED_CAUSES, ServingStats, StatsReport,
@@ -49,7 +50,6 @@ __all__ = [
     "DynamicBatcher",
     "MODEL_SHAPES",
     "PlanCache",
-    "Request",
     "ResilienceConfig",
     "Server",
     "ServerConfig",

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from math import inf
 from typing import NamedTuple, Optional, Tuple
 
+from .loadgen import Arrival
 from .queue import AdmissionQueue
-from .request import Request, ShapeKey, batched_config
+from .request import ShapeKey, batched_config
 
 
 def next_pow2(n: int) -> int:
@@ -66,7 +67,7 @@ class BatchPolicy:
 class Batch(NamedTuple):
     """A released batch: the requests plus the execution batch size."""
 
-    requests: Tuple[Request, ...]
+    requests: Tuple[Arrival, ...]
     key: ShapeKey
     batch: int  # execution (padded) batch size
 
@@ -109,7 +110,7 @@ class DynamicBatcher:
         # rule oldest_full() and release_at() answer for the fleet.
         # Comparing now against the absolute release time keeps
         # advance_to(release) exact ((a + w) - a can round below w).
-        if (not drain and now_s < oldest.arrival_s + self._max_wait_s
+        if (not drain and now_s < oldest.t_s + self._max_wait_s
                 and queue.lane_len(key) < max_batch):
             return None
         requests = queue.take(key, max_batch)

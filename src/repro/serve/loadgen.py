@@ -77,8 +77,24 @@ MODEL_SHAPES: Dict[str, List[Tuple[str, ConvConfig]]] = {
 
 
 class Arrival(NamedTuple):
-    """One traced request arrival (an immutable record, like
-    :class:`~repro.serve.request.Request`)."""
+    """One single-sample inference request: an immutable record.
+
+    Built once per arrival by :func:`generate_trace` and served as
+    is, so it is a ``NamedTuple``: built in one call, with no
+    instance ``__dict__``, and assigning to a field raises.  Like any
+    tuple it compares equal to a plain tuple of the same fields.
+
+    Attributes
+    ----------
+    rid:
+        Monotonic request id (trace order).
+    t_s:
+        Simulated arrival time.
+    model / layer:
+        Provenance labels ("VGG", "conv1_1") — reporting only.
+    key:
+        The layer shape; the batching identity.
+    """
 
     rid: int
     t_s: float

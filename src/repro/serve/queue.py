@@ -6,9 +6,11 @@ mechanisms, both counted:
 
 * **admission rejection** — a request arriving at a full queue is
   refused outright (the client sees an immediate "server busy");
-* **shedding** — an admitted request whose queueing delay exceeds its
-  timeout is dropped before service (serving it late would be wasted
-  work; real serving stacks shed exactly like this).
+* **shedding** — an admitted request whose queueing delay exceeds the
+  queue's one timeout is dropped before service (serving it late
+  would be wasted work; real serving stacks shed exactly like this).
+  The server passes its ``ServerConfig.timeout_s``; a request's
+  deadline is its arrival time ``t_s`` plus that timeout.
 
 Shutdown is explicit: :meth:`AdmissionQueue.drain` hands every
 outstanding request back to the caller (to be completed with a
@@ -27,7 +29,8 @@ from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ServerClosedError
-from .request import Request, ShapeKey
+from .loadgen import Arrival
+from .request import ShapeKey
 
 
 class AdmissionQueue:
@@ -38,19 +41,21 @@ class AdmissionQueue:
     the per-iteration scheduler call returns immediately unless some
     deadline has actually passed.  Removals (``take``/``drain``) leave
     the bound stale-*low*, which is safe — at worst one wasted scan.
-    Lanes are deadline-sorted in the common case (same timeout, arrival
-    order), letting the scan pop expired heads in O(dropped); a lane
-    only falls back to a full partition after an out-of-order insert
-    (a cluster requeue of an older request).
+    Lanes are deadline-sorted in the common case (arrival order),
+    letting the scan pop expired heads in O(dropped); a lane only
+    falls back to a full partition after an out-of-order insert (a
+    cluster requeue of an older request).
     """
 
-    def __init__(self, max_depth: int = 256):
+    def __init__(self, max_depth: int = 256, timeout_s: float = 0.25):
         if max_depth <= 0:
             raise ValueError(f"max_depth must be positive, got {max_depth}")
         self.max_depth = max_depth
+        #: Maximum queueing delay before a request is shed.
+        self.timeout_s = timeout_s
         # Ordered so iteration order (and thus tie-breaking between
         # equally old lanes) is deterministic: insertion order.
-        self._lanes: "OrderedDict[ShapeKey, Deque[Request]]" = OrderedDict()
+        self._lanes: "OrderedDict[ShapeKey, Deque[Arrival]]" = OrderedDict()
         self._depth = 0
         self._closed = False
         #: Lower bound on the earliest deadline of any queued request
@@ -59,7 +64,7 @@ class AdmissionQueue:
         #: Lanes whose deadline order was broken by an out-of-order
         #: insert; they shed by partition instead of head-popping.
         self._unsorted: set = set()
-        #: Lazy min-heap of ``(head_arrival_s, lane_seq, key)`` entries,
+        #: Lazy min-heap of ``(head_t_s, lane_seq, key)`` entries,
         #: one pushed per head change.  Stale entries (the lane moved on)
         #: are discarded when they surface at the top, making
         #: :meth:`oldest_lane` amortized O(1) instead of an O(lanes)
@@ -94,7 +99,7 @@ class AdmissionQueue:
         lane = self._lanes.get(key)
         return len(lane) if lane is not None else 0
 
-    def oldest_lane(self) -> Optional[Tuple[ShapeKey, Request]]:
+    def oldest_lane(self) -> Optional[Tuple[ShapeKey, Arrival]]:
         """The lane whose head request has waited longest, as
         ``(key, head)``; ``None`` when empty.  Ties break by lane
         insertion order, keeping the selection deterministic.
@@ -110,18 +115,18 @@ class AdmissionQueue:
         while heap:
             arrival, _seq, key = heap[0]
             lane = lanes.get(key)
-            if lane and lane[0].arrival_s == arrival:
+            if lane and lane[0].t_s == arrival:
                 return (key, lane[0])
             heapq.heappop(heap)
         return None
 
     def oldest_arrival(self) -> Optional[float]:
         head = self.oldest_lane()
-        return None if head is None else head[1].arrival_s
+        return None if head is None else head[1].t_s
 
     # -- mutation ----------------------------------------------------------
 
-    def offer(self, request: Request) -> bool:
+    def offer(self, request: Arrival) -> bool:
         """Admit ``request`` unless the queue is full.
 
         Raises :class:`ServerClosedError` after :meth:`close` — a
@@ -137,14 +142,15 @@ class AdmissionQueue:
         if lane is None:
             lane = self._lanes[request.key] = deque()
             self._lane_seq[request.key] = len(self._lane_seq)
-        deadline = request.arrival_s + request.timeout_s
+        timeout_s = self.timeout_s
+        deadline = request.t_s + timeout_s
         if lane:
-            if deadline < lane[-1].arrival_s + lane[-1].timeout_s:
+            if deadline < lane[-1].t_s + timeout_s:
                 self._unsorted.add(request.key)
         else:
             # Appending to an empty lane creates a new head.
             heapq.heappush(self._head_heap,
-                           (request.arrival_s,
+                           (request.t_s,
                             self._lane_seq[request.key], request.key))
         lane.append(request)
         if deadline < self._min_deadline:
@@ -153,7 +159,7 @@ class AdmissionQueue:
         self.admitted += 1
         return True
 
-    def take(self, key: ShapeKey, n: int) -> List[Request]:
+    def take(self, key: ShapeKey, n: int) -> List[Arrival]:
         """Remove and return up to ``n`` requests from one lane."""
         lane = self._lanes.get(key)
         if lane is None:
@@ -165,17 +171,17 @@ class AdmissionQueue:
             # batch=1 serving: one pop, no listcomp machinery.
             out = [lane.popleft()]
             heapq.heappush(self._head_heap,
-                           (lane[0].arrival_s, self._lane_seq[key], key))
+                           (lane[0].t_s, self._lane_seq[key], key))
         else:
             popleft = lane.popleft
             out = [popleft() for _ in range(n)]
             # The lane has a new head; the old entry goes stale.
             heapq.heappush(self._head_heap,
-                           (lane[0].arrival_s, self._lane_seq[key], key))
+                           (lane[0].t_s, self._lane_seq[key], key))
         self._depth -= len(out)
         return out
 
-    def remove(self, key: ShapeKey, rid: int) -> Optional[Request]:
+    def remove(self, key: ShapeKey, rid: int) -> Optional[Arrival]:
         """Remove one specific queued request by id (``None`` when it
         is not queued here).
 
@@ -196,12 +202,12 @@ class AdmissionQueue:
                 self._depth -= 1
                 if i == 0 and lane:
                     heapq.heappush(self._head_heap,
-                                   (lane[0].arrival_s,
+                                   (lane[0].t_s,
                                     self._lane_seq[key], key))
                 return request
         return None
 
-    def drain(self, for_requeue: bool = False) -> List[Request]:
+    def drain(self, for_requeue: bool = False) -> List[Arrival]:
         """Remove and return every outstanding request, in lane order.
 
         Two callers with different accounting:
@@ -217,7 +223,7 @@ class AdmissionQueue:
           :attr:`closed_out` (the replica's report records them under
           the ``requeued`` cause instead, and they complete elsewhere).
         """
-        out: List[Request] = []
+        out: List[Arrival] = []
         for lane in self._lanes.values():
             out.extend(lane)
             lane.clear()
@@ -229,7 +235,7 @@ class AdmissionQueue:
             self.closed_out += len(out)
         return out
 
-    def close(self) -> List[Request]:
+    def close(self) -> List[Arrival]:
         """Drain the queue and refuse all further offers.
 
         Returns the outstanding requests exactly as :meth:`drain`
@@ -239,7 +245,7 @@ class AdmissionQueue:
         self._closed = True
         return drained
 
-    def shed_expired(self, now_s: float) -> List[Request]:
+    def shed_expired(self, now_s: float) -> List[Arrival]:
         """Drop every admitted request whose deadline has passed.
 
         Amortized O(1): returns immediately unless ``now_s`` has moved
@@ -249,30 +255,30 @@ class AdmissionQueue:
         """
         if now_s <= self._min_deadline:
             return []
-        dropped: List[Request] = []
+        dropped: List[Arrival] = []
         min_deadline = float("inf")
+        timeout_s = self.timeout_s
         unsorted = self._unsorted
         for key, lane in self._lanes.items():
             if not lane:
                 continue
             if key in unsorted:
                 kept = deque(r for r in lane
-                             if not now_s > r.arrival_s + r.timeout_s)
+                             if not now_s > r.t_s + timeout_s)
                 if len(kept) != len(lane):
                     dropped.extend(r for r in lane
-                                   if now_s > r.arrival_s + r.timeout_s)
+                                   if now_s > r.t_s + timeout_s)
                     lane.clear()
                     lane.extend(kept)
                 if lane:
-                    lane_min = min(r.arrival_s + r.timeout_s for r in lane)
+                    lane_min = min(r.t_s + timeout_s for r in lane)
                     if lane_min < min_deadline:
                         min_deadline = lane_min
                 else:
                     unsorted.discard(key)
             else:
                 while lane:
-                    head = lane[0]
-                    deadline = head.arrival_s + head.timeout_s
+                    deadline = lane[0].t_s + timeout_s
                     if now_s > deadline:
                         dropped.append(lane.popleft())
                     else:
@@ -285,7 +291,7 @@ class AdmissionQueue:
             # head heap here both repairs the changed heads and sweeps
             # out accumulated stale entries.
             seq = self._lane_seq
-            self._head_heap = [(lane[0].arrival_s, seq[k], k)
+            self._head_heap = [(lane[0].t_s, seq[k], k)
                                for k, lane in self._lanes.items() if lane]
             heapq.heapify(self._head_heap)
         self._depth -= len(dropped)

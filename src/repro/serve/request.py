@@ -1,7 +1,10 @@
 """The serving request model.
 
 A request is one inference sample for one convolutional layer shape —
-the unit the batcher coalesces.  Shapes are identified by a
+the unit the batcher coalesces.  Its record is the trace's own
+:class:`~repro.serve.loadgen.Arrival`: the queue, batcher, stats and
+fleet pass that object through unchanged, and the queue owns the one
+timeout every request is shed by.  Shapes are identified by a
 :data:`ShapeKey`, the :class:`~repro.config.ConvConfig` 6-tuple with
 the batch dimension removed: two requests share a key exactly when
 they can ride in the same batch, and the plan cache keys on
@@ -11,7 +14,7 @@ they can ride in the same batch, and the plan cache keys on
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from ..config import ConvConfig
 
@@ -38,44 +41,3 @@ def batched_config(key: ShapeKey, batch: int) -> ConvConfig:
     i, f, k, s, c, p = key
     return ConvConfig(batch=batch, input_size=i, filters=f, kernel_size=k,
                       stride=s, channels=c, padding=p)
-
-
-class Request(NamedTuple):
-    """One single-sample inference request: an immutable record.
-
-    A serving run builds one per arrival, so it is a ``NamedTuple``:
-    built in one call, with no instance ``__dict__``, and assigning
-    to a field raises.  Like any tuple it compares equal to a plain
-    tuple of the same fields.
-
-    Attributes
-    ----------
-    rid:
-        Monotonic request id (trace order).
-    model / layer:
-        Provenance labels ("VGG", "conv1_1") — reporting only.
-    key:
-        The layer shape; the batching identity.
-    arrival_s:
-        Simulated arrival time.
-    timeout_s:
-        Maximum queueing delay before the request is shed.
-    """
-
-    rid: int
-    model: str
-    layer: str
-    key: ShapeKey
-    arrival_s: float
-    timeout_s: float
-
-    @property
-    def deadline_s(self) -> float:
-        """Latest simulated time at which service may still start."""
-        return self.arrival_s + self.timeout_s
-
-    def expired(self, now_s: float) -> bool:
-        return now_s > self.deadline_s
-
-    def config(self, batch: int = 1) -> ConvConfig:
-        return batched_config(self.key, batch)

@@ -58,7 +58,7 @@ from ..gpusim.device import spec_digest
 from ..errors import (DeviceOOMError, MemoryPressureError, ReproError,
                       TransientKernelError)
 from ..faults import FaultInjector, FaultPlan
-from ..frameworks.calibration import CONTEXT_BYTES
+from ..frameworks.calibration import CONTEXT_BYTES, FORWARD_FRACTION
 from ..frameworks.registry import resolve_implementation, shared_implementations
 from ..gpusim.allocator import DeviceAllocator
 from ..gpusim.device import DeviceSpec, K40C
@@ -73,15 +73,9 @@ from .batcher import BatchPolicy, DynamicBatcher
 from .loadgen import Arrival
 from .plan_cache import PlanCache
 from .queue import AdmissionQueue
-from .request import Request, ShapeKey, batched_config
+from .request import ShapeKey, batched_config
 from .resilience import CircuitBreaker, ResilienceConfig
 from .stats import ServingStats, StatsReport
-
-#: The advisor ranks full training iterations (forward + two backward
-#: passes of equal direct-algorithm cost — see
-#: :attr:`repro.config.ConvConfig.training_flops`); inference serves
-#: the forward pass only.
-FORWARD_FRACTION = 1.0 / 3.0
 
 
 def _buffers(impl_name: str, key: ShapeKey,
@@ -101,6 +95,8 @@ class ServerConfig:
 
     policy: BatchPolicy = BatchPolicy()
     queue_depth: int = 512
+    #: Longest a request may queue before it is shed; the admission
+    #: queue holds this one timeout for every request.
     timeout_s: float = 0.25
     device: DeviceSpec = K40C
     plan_cache_capacity: int = 128
@@ -259,7 +255,7 @@ class Server:
     # ------------------------------------------------------------------
 
     def _dispatch(self, plan: RankedPlan, rank: int, key: ShapeKey,
-                  padded: int, requests: List[Request],
+                  padded: int, requests: List[Arrival],
                   stats: ServingStats) -> None:
         """Run one batch on one implementation, retrying transient
         faults up to the resilience budget.
@@ -358,14 +354,14 @@ class Server:
                             role=k.role, model_time_s=k.time_s)
             t += dur
 
-    def _split(self, requests: Sequence[Request], key: ShapeKey,
+    def _split(self, requests: Sequence[Arrival], key: ShapeKey,
                stats: ServingStats) -> None:
         stats.oom_splits += 1
         mid = (len(requests) + 1) // 2
         self._execute(requests[:mid], key, stats)
         self._execute(requests[mid:], key, stats)
 
-    def _execute(self, requests: Sequence[Request], key: ShapeKey,
+    def _execute(self, requests: Sequence[Arrival], key: ShapeKey,
                  stats: ServingStats,
                  padded: Optional[int] = None) -> None:
         """Serve one group of same-shape requests, walking the recovery
@@ -447,7 +443,8 @@ class Server:
         and :meth:`finish` to freeze the report.
         """
         self.stats = ServingStats(registry=self.obs.registry)
-        self.queue = AdmissionQueue(self.config.queue_depth)
+        self.queue = AdmissionQueue(self.config.queue_depth,
+                                    self.config.timeout_s)
         self.batcher = DynamicBatcher(self.config.policy)
         self._degraded_cap = None
         self._monitor = (SLOMonitor(self.config.slo, self.obs)
@@ -468,7 +465,7 @@ class Server:
                                    self._injector.entries_corrupted)
         return self
 
-    def admit(self, requests: Sequence[Request]) -> int:
+    def admit(self, requests: Sequence[Arrival]) -> int:
         """Offer requests to the session's admission queue, in order;
         returns how many were admitted (the rest were refused as
         ``queue_full``)."""
@@ -573,7 +570,6 @@ class Server:
         clock = self.clock
         queue = self.queue
         monitor = self._monitor
-        timeout_s = self.config.timeout_s
         admit, shed_expired, pump = self.admit, self.shed_expired, self.pump
         # Sorted list + cursor instead of a deque of popped arrivals:
         # bulk admission walks a slice with no per-element pops.
@@ -597,9 +593,7 @@ class Server:
                     j = i
                     while j < n and pending[j].t_s <= now:
                         j += 1
-                    admit([Request(a.rid, a.model, a.layer, a.key, a.t_s,
-                                   timeout_s)
-                           for a in pending[i:j]])
+                    admit(pending[i:j])
                     i = j
                 shed_expired()
                 if pump(drain=i >= n):

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..obs.hist import percentile  # noqa: F401  (re-export, see docstring)
 from ..obs.metrics import MetricsRegistry
-from .request import Request
+from .loadgen import Arrival
 
 #: Scalar attribute -> the registry counter backing it.
 _COUNTERS = {
@@ -270,7 +270,7 @@ class StatsReport:
 class _Dispatch(NamedTuple):
     """One executed dispatch, as :class:`ServingStats` keeps it."""
 
-    requests: Tuple[Request, ...]
+    requests: Tuple[Arrival, ...]
     start_s: float
     finish_s: float
     batch: int            # padded batch the requests rode in
@@ -395,13 +395,13 @@ class ServingStats:
         self._dispatches.append(_Dispatch(requests, start_s, finish_s,
                                           padded, implementation))
         if fill == 1:
-            arrival = requests[0].arrival_s
+            arrival = requests[0].t_s
             latency_hist.observe(finish_s - arrival)
             self._wait_hist.observe(start_s - arrival)
         else:
-            latency_hist.observe_many([finish_s - r.arrival_s
+            latency_hist.observe_many([finish_s - r.t_s
                                        for r in requests])
-            self._wait_hist.observe_many([start_s - r.arrival_s
+            self._wait_hist.observe_many([start_s - r.t_s
                                           for r in requests])
         self._completed += fill
         completed = self._completed_counter
@@ -417,7 +417,7 @@ class ServingStats:
         return len(self._dispatches)
 
     def served(self, cursor: int = 0
-               ) -> Iterator[Tuple[Request, float, float]]:
+               ) -> Iterator[Tuple[Arrival, float, float]]:
         """``(request, start_s, finish_s)`` for every request served by
         the dispatches recorded from index ``cursor`` on, in dispatch
         order (a reader keeps :attr:`dispatch_count` as its next

@@ -10,7 +10,7 @@ from repro.gpusim import memo
 from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
-from repro.serve.request import Request, shape_key
+from repro.serve.request import shape_key
 
 KEY = shape_key(MODEL_SHAPES["AlexNet"][1][1])
 
@@ -28,8 +28,8 @@ def small_config(**kwargs):
 
 
 def req(rid, arrival=0.0):
-    return Request(rid=rid, model="AlexNet", layer="conv2", key=KEY,
-                   arrival_s=arrival, timeout_s=0.25)
+    return Arrival(rid=rid, t_s=arrival, model="AlexNet", layer="conv2",
+                   key=KEY)
 
 
 class TestEquivalence:

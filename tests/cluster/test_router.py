@@ -6,7 +6,7 @@ from repro.cluster.router import (POLICIES, LeastLoaded, PowerOfTwo,
                                   RoundRobin, Router, ShapeAffinity,
                                   make_policy)
 from repro.obs.context import Observability
-from repro.serve.request import Request
+from repro.serve.loadgen import Arrival
 
 KEY_A = (27, 256, 5, 1, 96, 2)
 KEY_B = (13, 384, 3, 1, 256, 1)
@@ -26,8 +26,7 @@ class FakeReplica:
 
 
 def req(rid, key=KEY_A):
-    return Request(rid=rid, model="m", layer="l", key=key,
-                   arrival_s=0.0, timeout_s=0.25)
+    return Arrival(rid=rid, t_s=0.0, model="m", layer="l", key=key)
 
 
 def fleet(n=4, **kwargs):

@@ -8,9 +8,10 @@ from repro.cluster import (Cluster, ClusterConfig, ClusterReport,
 from repro.core.evalcache import reset_cache
 from repro.faults import (FleetFaultPlan, ReplicaCrashSpec,
                           named_fleet_plan)
-from repro.obs import (TelemetryConfig, alert_log_lines,
-                       render_dashboard, render_dashboard_from_log,
-                       window_log_lines, write_window_log)
+from repro.obs.alerts import alert_log_lines
+from repro.obs.dashboard import render_dashboard, render_dashboard_from_log
+from repro.obs.timeseries import (TelemetryConfig, window_log_lines,
+                                  write_window_log)
 from repro.serve import (BatchPolicy, ServerConfig, TrafficSpec,
                          generate_trace)
 

@@ -14,13 +14,13 @@ from repro.obs.timeseries import (TELEMETRY_SCHEMA_VERSION, Rollups,
                                   shape_label, window_counter_total,
                                   window_log_lines, write_window_log)
 from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
-from repro.serve.request import Request
+from repro.serve.loadgen import Arrival
 
 
 def served(finish_s, rid=0, model="AlexNet", key=(224, 64, 3, 1, 3, 1)):
     """``observe_completion``'s leading arguments for one request."""
-    request = Request(rid=rid, model=model, layer="conv1", key=key,
-                      arrival_s=finish_s - 0.01, timeout_s=1.0)
+    request = Arrival(rid=rid, t_s=finish_s - 0.01, model=model,
+                      layer="conv1", key=key)
     return request, finish_s - 0.005, finish_s
 
 

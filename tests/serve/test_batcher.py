@@ -3,16 +3,15 @@
 import pytest
 
 from repro.serve.batcher import Batch, BatchPolicy, DynamicBatcher, next_pow2
+from repro.serve.loadgen import Arrival
 from repro.serve.queue import AdmissionQueue
-from repro.serve.request import Request
 
 KEY_A = (27, 256, 5, 1, 96, 2)
 KEY_B = (13, 384, 3, 1, 256, 1)
 
 
-def req(rid, key=KEY_A, arrival=0.0, timeout=10.0):
-    return Request(rid=rid, model="m", layer="l", key=key,
-                   arrival_s=arrival, timeout_s=timeout)
+def req(rid, key=KEY_A, arrival=0.0):
+    return Arrival(rid=rid, t_s=arrival, model="m", layer="l", key=key)
 
 
 def filled_queue(n, key=KEY_A, arrival=0.0):

@@ -28,7 +28,7 @@ from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
                          TrafficSpec, generate_trace)
 from repro.serve.loadgen import MODEL_SHAPES
 from repro.serve.queue import AdmissionQueue
-from repro.serve.request import Request, shape_key
+from repro.serve.request import shape_key
 
 from ..gpusim.allocator_oracle import episode
 
@@ -295,14 +295,14 @@ class TestMemoByteIdentity:
 
 
 class TestHeadHeap:
-    def offer(self, queue, rid, key, arrival_s, timeout_s=10.0):
-        return queue.offer(Request(rid, "m", "l", key, arrival_s, timeout_s))
+    def offer(self, queue, rid, key, t_s):
+        return queue.offer(Arrival(rid, t_s, "m", "l", key))
 
     def scan_oldest(self, queue):
         """The O(lanes) reference the heap replaced."""
         best = None
         for key, lane in queue._lanes.items():
-            if lane and (best is None or lane[0].arrival_s < best[1].arrival_s):
+            if lane and (best is None or lane[0].t_s < best[1].t_s):
                 best = (key, lane[0])
         return best
 
@@ -326,8 +326,8 @@ class TestHeadHeap:
         assert queue.oldest_lane()[0] == KEY
 
     def test_shed_rebuilds_heap(self):
-        queue = AdmissionQueue()
-        self.offer(queue, 0, KEY, 0.0, timeout_s=0.1)
+        queue = AdmissionQueue(timeout_s=1.5)
+        self.offer(queue, 0, KEY, 0.0)
         self.offer(queue, 1, KEY, 5.0)
         self.offer(queue, 2, KEY2, 1.0)
         dropped = queue.shed_expired(2.0)
@@ -336,14 +336,15 @@ class TestHeadHeap:
         assert queue.oldest_lane()[1].rid == 2
 
     def test_out_of_order_offer_keeps_min_deadline(self):
-        queue = AdmissionQueue()
-        self.offer(queue, 0, KEY, 0.0, timeout_s=10.0)
-        # Earlier deadline appended behind a later one (cluster
-        # requeue shape): the lane goes unsorted but still sheds.
-        self.offer(queue, 1, KEY, 0.1, timeout_s=0.1)
+        queue = AdmissionQueue(timeout_s=0.5)
+        self.offer(queue, 1, KEY, 0.9)
+        # An older arrival requeued behind a newer one (a cluster
+        # requeue): its earlier deadline sits behind a later one, so
+        # the lane goes unsorted but still sheds.
+        self.offer(queue, 0, KEY, 0.1)
         dropped = queue.shed_expired(1.0)
-        assert [r.rid for r in dropped] == [1]
-        assert queue.oldest_lane()[1].rid == 0
+        assert [r.rid for r in dropped] == [0]
+        assert queue.oldest_lane()[1].rid == 1
 
     def test_drain_clears_heap(self):
         queue = AdmissionQueue()

@@ -3,16 +3,15 @@
 import pytest
 
 from repro.errors import ServerClosedError
+from repro.serve.loadgen import Arrival
 from repro.serve.queue import AdmissionQueue
-from repro.serve.request import Request
 
 KEY_A = (27, 256, 5, 1, 96, 2)
 KEY_B = (13, 384, 3, 1, 256, 1)
 
 
-def req(rid, key=KEY_A, arrival=0.0, timeout=0.05):
-    return Request(rid=rid, model="m", layer="l", key=key,
-                   arrival_s=arrival, timeout_s=timeout)
+def req(rid, key=KEY_A, arrival=0.0):
+    return Arrival(rid=rid, t_s=arrival, model="m", layer="l", key=key)
 
 
 class TestAdmission:
@@ -78,23 +77,23 @@ class TestLanes:
 
 class TestShedding:
     def test_shed_expired_drops_only_expired(self):
-        q = AdmissionQueue()
-        q.offer(req(1, arrival=0.0, timeout=0.010))
-        q.offer(req(2, arrival=0.0, timeout=0.100))
-        dropped = q.shed_expired(0.050)
+        q = AdmissionQueue(timeout_s=0.050)
+        q.offer(req(1, arrival=0.0))
+        q.offer(req(2, arrival=0.040))
+        dropped = q.shed_expired(0.060)
         assert [r.rid for r in dropped] == [1]
         assert len(q) == 1
         assert q.shed == 1
 
     def test_shed_nothing_before_deadline(self):
-        q = AdmissionQueue()
-        q.offer(req(1, arrival=0.0, timeout=0.1))
+        q = AdmissionQueue(timeout_s=0.1)
+        q.offer(req(1, arrival=0.0))
         assert q.shed_expired(0.1) == []  # deadline is exclusive
 
     def test_shed_spans_lanes(self):
-        q = AdmissionQueue()
-        q.offer(req(1, key=KEY_A, timeout=0.01))
-        q.offer(req(2, key=KEY_B, timeout=0.01))
+        q = AdmissionQueue(timeout_s=0.01)
+        q.offer(req(1, key=KEY_A))
+        q.offer(req(2, key=KEY_B))
         assert len(q.shed_expired(1.0)) == 2
         assert len(q) == 0
 

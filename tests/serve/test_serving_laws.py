@@ -45,7 +45,7 @@ def test_dispatch_records_account_for_every_arrival(plan, max_batch, traffic,
 
     registry = server.obs.registry
     assert registry.histogram("serve_latency_seconds").observations == [
-        finish_s - request.arrival_s for request, _, finish_s in served]
+        finish_s - request.t_s for request, _, finish_s in served]
     assert registry.histogram("serve_queue_wait_seconds").observations == [
-        start_s - request.arrival_s for request, start_s, _ in served]
+        start_s - request.t_s for request, start_s, _ in served]
     assert server.telemetry.completions_observed == report.completed

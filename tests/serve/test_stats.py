@@ -6,16 +6,17 @@ import tracemalloc
 
 import pytest
 
-from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
-from repro.serve.request import Request
+from repro.cluster import Cluster, ClusterConfig, HealthConfig
+from repro.faults import named_fleet_plan, named_plan
+from repro.serve import (Arrival, BatchPolicy, Server, ServerConfig,
+                         TrafficSpec, generate_trace)
 from repro.serve.stats import ServingStats, percentile
 
 KEY = (27, 256, 5, 1, 96, 2)
 
 
 def request(rid, arrival):
-    return Request(rid=rid, model="m", layer="l", key=KEY,
-                   arrival_s=arrival, timeout_s=1.0)
+    return Arrival(rid=rid, t_s=arrival, model="m", layer="l", key=KEY)
 
 
 class TestPercentile:
@@ -107,13 +108,13 @@ class TestReport:
 
 class TestRetainedMemory:
     """A finished run keeps one record per dispatch and two floats per
-    served request, not one object per request with its own dict."""
+    served request, and no object per request beyond the trace's own."""
 
     #: Bytes a finished server may hold per arrival.  Keeping a
     #: dict-backed record per request and per completion retained
-    #: 712 B; one tuple per request and one record per dispatch retain
-    #: about 175 B (CPython 3.11).
-    BOUND_B = 400
+    #: 712 B; copying each arrival into a second request tuple, 175 B;
+    #: serving the trace's own records, about 82 B (CPython 3.11).
+    BOUND_B = 150
 
     def test_finished_server_retains_little_per_arrival(self):
         trace = generate_trace(TrafficSpec(duration_s=2.0, rate_rps=6000.0,
@@ -133,5 +134,44 @@ class TestRetainedMemory:
     def test_request_is_an_immutable_record_without_a_dict(self):
         req = request(0, 0.0)
         with pytest.raises(AttributeError):
-            req.arrival_s = 1.0
+            req.t_s = 1.0
         assert not hasattr(req, "__dict__")
+
+
+class TestServedRequestsAreTheTrace:
+    """The trace's records are the requests: every request a run
+    serves is an object of the trace it was given, never a copy."""
+
+    @staticmethod
+    def assert_served_from(trace, servers):
+        ids = {id(arrival) for arrival in trace}
+        served = [request for server in servers
+                  for request, _, _ in server.stats.served()]
+        assert served
+        assert all(id(request) in ids for request in served)
+
+    @pytest.mark.parametrize("plan", [None, "chaos"])
+    def test_server_run(self, plan):
+        trace = generate_trace(TrafficSpec(duration_s=0.5, rate_rps=4000.0,
+                                           seed=7))
+        server = Server(ServerConfig(),
+                        fault_plan=named_plan(plan, 0.5) if plan else None,
+                        fault_seed=7)
+        server.run(trace)
+        if plan:
+            assert server.stats.faults_injected > 0
+        self.assert_served_from(trace, [server])
+
+    def test_cluster_with_hedging_and_a_kill(self):
+        trace = generate_trace(TrafficSpec(duration_s=0.5, rate_rps=4000.0,
+                                           seed=7))
+        cluster = Cluster(ClusterConfig(
+            replicas=4, policy="least-loaded",
+            server=ServerConfig(policy=BatchPolicy(max_batch=8)),
+            health=HealthConfig(hedge_after_s=0.02), kills=[(1, 0.2)],
+            fleet_fault_plan=named_fleet_plan("fleet-chaos", duration_s=0.5,
+                                              replicas=4)))
+        report = cluster.run(trace)
+        assert report.kills == 1 and report.requeued > 0
+        assert report.health["hedges_issued"] > 0
+        self.assert_served_from(trace, [r.server for r in cluster.replicas])

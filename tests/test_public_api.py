@@ -6,6 +6,10 @@ root — the contract the README's code snippets rely on.
 """
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -73,3 +77,21 @@ def test_public_classes_have_docstrings():
             obj = getattr(mod, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__doc__, f"{mod.__name__}.{name} lacks a docstring"
+
+
+def test_model_loads_only_the_obs_modules_it_uses():
+    """A fresh ``import repro.core`` loads the four ``repro.obs``
+    modules the model layers use, not the whole observability plane:
+    the package root imports none of its modules."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = ("import sys, repro.core\n"
+            "print(*sorted(m for m in sys.modules"
+            " if m.startswith('repro.obs.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["repro.obs.context", "repro.obs.hist",
+                                   "repro.obs.metrics", "repro.obs.tracer"]
