@@ -13,7 +13,7 @@ MODELS = {"AlexNet": 128, "OverFeat": 128, "VGG-16": 64, "GoogLeNet": 64}
 @pytest.mark.parametrize("model", sorted(MODELS))
 def bench_oracle_mix(benchmark, save_artifact, model):
     ctor, shape = model_registry()[model]
-    net = ctor(rng=0)
+    net = ctor()
     batch = MODELS[model]
     report = benchmark.pedantic(oracle_mix, args=(model, net,
                                                   (batch,) + shape),

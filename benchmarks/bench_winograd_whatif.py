@@ -69,7 +69,7 @@ def bench_winograd_in_resnet_oracle(benchmark, save_artifact):
     def run():
         ctor, shape = model_registry()["ResNet-18"]
         impls = all_implementations() + [CuDNNWinograd()]
-        return oracle_mix("ResNet-18", ctor(rng=0), (64,) + shape,
+        return oracle_mix("ResNet-18", ctor(), (64,) + shape,
                           implementations=impls)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -20,7 +20,7 @@ from repro.nn.models import model_registry
 
 def main(model_name: str = "AlexNet", batch: int = 128) -> None:
     ctor, shape = model_registry()[model_name]
-    report = oracle_mix(model_name, ctor(rng=0), (batch,) + shape)
+    report = oracle_mix(model_name, ctor(), (batch,) + shape)
     print(report.render())
     print()
     if report.oracle_speedup > 1.1:

@@ -22,7 +22,7 @@ from repro.core.report import bar_breakdown
 
 def main(model_name: str = "AlexNet", impl_name: str = "cudnn") -> None:
     ctor, shape = model_registry()[model_name]
-    model = ctor(rng=0)
+    model = ctor()
     batch = 128
     input_shape = (batch,) + shape
 

@@ -11,7 +11,8 @@ Layered public API:
 * :mod:`repro.frameworks` — the seven benchmarked implementations
   (Caffe, Torch-cunn, Theano-CorrMM, Theano-fft, cuDNN,
   cuda-convnet2, fbfft);
-* :mod:`repro.nn` — CNN layers, the four profiled models, training;
+* :mod:`repro.nn` — CNN model descriptions (the four profiled models,
+  LeNet-5 and ResNet) and the Fig. 2 per-layer runtime simulator;
 * :mod:`repro.core` — the paper's analysis harness: one module per
   figure/table, plus the implementation advisor.
 

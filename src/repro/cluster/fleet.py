@@ -56,7 +56,7 @@ from ..obs.slo import SLOMonitor, SLOPolicy
 from ..obs.timeseries import TelemetryConfig
 from ..obs.tracer import SimTracer
 from ..rng import DEFAULT_SEED
-from ..serve.loadgen import Arrival
+from ..serve.loadgen import Arrival, check_order
 from ..serve.scheduler import ServerConfig
 from .autoscaler import AutoscalePolicy, Autoscaler
 from .health import HealthConfig, HealthPlane
@@ -484,11 +484,13 @@ class Cluster:
 
     def run(self, trace: Sequence[Arrival]) -> ClusterReport:
         """Serve one arrival trace across the fleet; returns the
-        frozen :class:`~repro.cluster.report.ClusterReport`."""
+        frozen :class:`~repro.cluster.report.ClusterReport`.  ``trace``
+        must be in ``(t_s, rid)`` order
+        (:func:`~repro.serve.loadgen.check_order`)."""
         if self._ran:
             raise RuntimeError("a Cluster runs one trace; build a new one")
+        check_order(trace)
         self._ran = True
-        pending = sorted(trace, key=lambda a: (a.t_s, a.rid))
         self._kill_queue = deque(self.config.kill_schedule())
         for _ in range(self.config.replicas):
             self._spawn(0.0)
@@ -498,7 +500,7 @@ class Cluster:
                 replicas=self.config.replicas, arrivals=len(trace))
             root.__enter__()
             try:
-                self._loop(pending)
+                self._loop(trace)
             finally:
                 replicas_final = self.routable_count
                 end_s = self.clock.now_s
@@ -519,7 +521,7 @@ class Cluster:
         return self._build_report(len(trace), replicas_final)
 
     def _loop(self, pending: Sequence[Arrival]) -> None:
-        # Sorted list + cursor instead of a deque of popped arrivals:
+        # Ordered trace + cursor instead of a deque of popped arrivals:
         # admission walks a slice, and the frequently-read "next
         # arrival time" is one index away.  Per-iteration attribute
         # lookups (clock, monitor, kill queue) are hoisted; ``live`` is

@@ -31,12 +31,8 @@ from .fftconv import backward_input as fft_backward_input
 from .fftconv import backward_weights as fft_backward_weights
 from .im2col import im2col, col2im
 from .winograd import forward as winograd_forward
-from .registry import STRATEGIES, get_strategy, supported_strategies
 
 __all__ = [
-    "STRATEGIES",
-    "get_strategy",
-    "supported_strategies",
     "winograd_forward",
     "conv2d_reference",
     "direct_forward",

@@ -77,7 +77,7 @@ def generate_report(include_extensions: bool = True,
         from ..nn.models import model_registry
         ctor, shape = model_registry()["AlexNet"]
         lines.append(_block(
-            oracle_mix("AlexNet", ctor(rng=0), (128,) + shape).render()))
+            oracle_mix("AlexNet", ctor(), (128,) + shape).render()))
         lines.append("")
 
     return "\n".join(lines)

@@ -67,7 +67,7 @@ def hotspot_layer_analysis(implementation: str = "cudnn",
             raise KeyError(
                 f"unknown model {name!r}; options: {sorted(FIG2_MODELS)}"
             ) from None
-        model = ctor(rng=0)
+        model = ctor()
         batch = batches[name]
         costs = model_breakdown(model, (batch,) + shape,
                                 implementation=implementation, device=device)

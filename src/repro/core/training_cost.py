@@ -74,7 +74,7 @@ def estimate_training(model_name: str, dataset: DatasetSpec,
             f"unknown model {model_name!r}; options: {sorted(registry)}"
         ) from None
 
-    model = ctor(rng=0)
+    model = ctor()
     costs = model_breakdown(model, (batch,) + shape,
                             implementation=implementation, device=device)
     iteration = sum(c.time_s for c in costs)

@@ -108,11 +108,6 @@ class ProfilerError(ReproError, RuntimeError):
     an active session, nested sessions on one profiler)."""
 
 
-class ConvergenceError(ReproError, RuntimeError):
-    """Training failed to make progress (used by the trainer to signal
-    diverging loss, e.g. NaN)."""
-
-
 class TraceSchemaError(ReproError, ValueError):
     """A saved observability artifact (JSONL event log, metrics
     snapshot) could not be loaded: unknown schema version, malformed

@@ -1,17 +1,16 @@
-"""CNN substrate: layers, network containers, reference models,
-training loop and whole-model runtime simulation.
+"""CNN model descriptions and whole-model runtime simulation.
 
 This subpackage provides what the paper's "high-level workload
-profiling" (section IV-A) needs: real, trainable definitions of the
-layer types the four profiled models are built from (convolution,
-pooling, ReLU, fully-connected, LRN, concat, dropout, softmax), the
-AlexNet / VGG / OverFeat / GoogLeNet architectures themselves, and a
+profiling" (section IV-A) needs: the layer types the four profiled
+models are built from (convolution, pooling, ReLU, fully-connected,
+LRN, concat, dropout), described by their geometry, ``layer_type``,
+``output_shape`` and parameter shapes; the AlexNet / VGG / OverFeat /
+GoogLeNet architectures themselves (with LeNet-5 and ResNet); and a
 simulator that attributes device time to every layer of a training
 iteration (Fig. 2's runtime breakdown).
 
-The layers compute real forward/backward passes in NumPy (gradient-
-checked in the test suite), so the same definitions also power the
-LeNet-5 training example.
+A model holds no weights and runs no arithmetic: the convolution
+numerics live in :mod:`repro.conv` and :mod:`repro.frameworks`.
 """
 
 from .module import Layer, Parameter
@@ -24,15 +23,9 @@ from .concat import Concat
 from .add import Add
 from .batchnorm import BatchNorm2d
 from .dropout import Dropout
-from .softmax import softmax, SoftmaxCrossEntropy
 from .flatten import Flatten
 from .network import Sequential, Graph
-from .loss import Loss
-from .trainer import SGD, Trainer
-from .schedules import ScheduledSGD, constant, poly_decay, step_decay, warmup
-from .gradcheck import check_gradients
 from .summary import parameter_breakdown, summarize
-from .checkpoint import load_weights, save_weights, state_dict, load_state_dict
 
 __all__ = [
     "Layer",
@@ -47,24 +40,9 @@ __all__ = [
     "Add",
     "BatchNorm2d",
     "Dropout",
-    "softmax",
-    "SoftmaxCrossEntropy",
     "Flatten",
     "Sequential",
     "Graph",
-    "Loss",
-    "SGD",
-    "Trainer",
-    "ScheduledSGD",
-    "constant",
-    "poly_decay",
-    "step_decay",
-    "warmup",
-    "check_gradients",
     "summarize",
     "parameter_breakdown",
-    "save_weights",
-    "load_weights",
-    "state_dict",
-    "load_state_dict",
 ]

@@ -2,15 +2,12 @@
 
 Like :class:`~repro.nn.concat.Concat`, this is a multi-input layer
 routed by the :class:`~repro.nn.network.Graph` container; unlike
-Concat, all inputs must share the full shape and the gradient passes
-through unchanged to every branch.
+Concat, all inputs must share the full shape.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from ..errors import ShapeError
 from .module import Layer
@@ -21,25 +18,6 @@ class Add(Layer):
 
     layer_type = "Add"
     multi_input = True
-
-    def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
-        if not xs:
-            raise ShapeError(f"{self.name}: needs at least one input")
-        base = xs[0].shape
-        for x in xs[1:]:
-            if x.shape != base:
-                raise ShapeError(
-                    f"{self.name}: all inputs must share a shape; got "
-                    f"{[x.shape for x in xs]}"
-                )
-        self._n = len(xs)
-        out = xs[0].copy()
-        for x in xs[1:]:
-            out += x
-        return out
-
-    def backward(self, dy: np.ndarray) -> List[np.ndarray]:
-        return [dy] * self._n
 
     def output_shape(self, input_shapes: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
         base = tuple(input_shapes[0])

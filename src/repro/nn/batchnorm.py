@@ -2,29 +2,21 @@
 
 Contemporaneous with the paper's study window (GoogLeNet v2 trained
 with it), and the layer that reshaped conv-layer benchmarking soon
-after — included so the NN substrate can express post-2015 models.
-
-Implements the standard per-channel 2-D batch norm with exact analytic
-gradients and running statistics for evaluation mode.
+after — included so the model descriptions can express post-2015
+models.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from ..errors import ShapeError
-from .module import Layer, Parameter, check_nchw
+from .module import Layer, Parameter
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch normalisation over (N, H, W).
-
-    Training mode normalises with batch statistics and updates the
-    running mean/variance with exponential moving averages; eval mode
-    uses the running statistics.
-    """
+    """Per-channel batch normalisation over (N, H, W), with a learnt
+    per-channel scale (``gamma``) and shift (``beta``)."""
 
     layer_type = "BatchNorm"
 
@@ -40,10 +32,8 @@ class BatchNorm2d(Layer):
         self.channels = channels
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Parameter(np.ones(channels), name=f"{self.name}.gamma")
-        self.beta = Parameter(np.zeros(channels), name=f"{self.name}.beta")
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.gamma = Parameter(f"{self.name}.gamma", (channels,))
+        self.beta = Parameter(f"{self.name}.beta", (channels,))
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         if len(input_shape) != 4 or input_shape[1] != self.channels:
@@ -51,50 +41,6 @@ class BatchNorm2d(Layer):
                 f"{self.name}: expected (b, {self.channels}, h, w), "
                 f"got {input_shape}")
         return tuple(input_shape)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        check_nchw(x, self)
-        if x.shape[1] != self.channels:
-            raise ShapeError(
-                f"{self.name}: expected {self.channels} channels, "
-                f"got {x.shape[1]}")
-        if self.training:
-            axes = (0, 2, 3)
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean)
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var)
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._xhat = xhat
-        self._inv_std = inv_std
-        self._train_stats = self.training
-        return (self.gamma.value[None, :, None, None] * xhat
-                + self.beta.value[None, :, None, None])
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._xhat, self._inv_std
-        axes = (0, 2, 3)
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
-
-        self.gamma.grad += (dy * xhat).sum(axis=axes)
-        self.beta.grad += dy.sum(axis=axes)
-
-        g = self.gamma.value[None, :, None, None]
-        if not self._train_stats:
-            # Eval mode: statistics are constants.
-            return dy * g * inv_std[None, :, None, None]
-        dxhat = dy * g
-        # Standard batch-norm backward (statistics depend on x).
-        term1 = dxhat
-        term2 = dxhat.mean(axis=axes)[None, :, None, None]
-        term3 = xhat * (dxhat * xhat).mean(axis=axes)[None, :, None, None]
-        return (term1 - term2 - term3) * inv_std[None, :, None, None]
 
     def parameters(self):
         return [self.gamma, self.beta]

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from ..errors import ShapeError
 from .module import Layer
@@ -13,31 +11,23 @@ from .module import Layer
 class Concat(Layer):
     """Concatenate a list of NCHW tensors along the channel axis.
 
-    Unlike the other layers, ``forward`` takes a *list* of inputs and
-    ``backward`` returns a list of gradients — the
-    :class:`~repro.nn.network.Graph` container routes them.
+    Unlike the other layers, ``output_shape`` takes a *list* of input
+    shapes — the :class:`~repro.nn.network.Graph` container routes
+    them.
     """
 
     layer_type = "Concat"
     multi_input = True
 
-    def forward(self, xs: Sequence[np.ndarray]) -> np.ndarray:
-        if not xs:
+    def output_shape(self, input_shapes: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+        if not input_shapes:
             raise ShapeError(f"{self.name}: needs at least one input")
-        base = xs[0].shape
-        for x in xs[1:]:
-            if x.ndim != 4 or x.shape[0] != base[0] or x.shape[2:] != base[2:]:
+        b, _, h, w = input_shapes[0]
+        for s in input_shapes[1:]:
+            if len(s) != 4 or (s[0], s[2], s[3]) != (b, h, w):
                 raise ShapeError(
                     f"{self.name}: inputs must share batch and spatial dims; "
-                    f"got {[x.shape for x in xs]}"
+                    f"got {list(input_shapes)}"
                 )
-        self._splits = np.cumsum([x.shape[1] for x in xs])[:-1]
-        return np.concatenate(xs, axis=1)
-
-    def backward(self, dy: np.ndarray) -> List[np.ndarray]:
-        return np.split(dy, self._splits, axis=1)
-
-    def output_shape(self, input_shapes: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
-        b, _, h, w = input_shapes[0]
         channels = sum(s[1] for s in input_shapes)
         return (b, channels, h, w)

@@ -4,38 +4,22 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from ..errors import ShapeError
-from ..rng import make_rng
 from .module import Layer
 
 
 class Dropout(Layer):
-    """Inverted dropout: activations are scaled by ``1/(1-p)`` at train
-    time so evaluation is a pass-through."""
+    """Inverted dropout with drop probability ``p``: activations are
+    scaled by ``1/(1-p)`` at train time so evaluation is a
+    pass-through."""
 
     layer_type = "Dropout"
 
-    def __init__(self, p: float = 0.5, rng=None, name: str = ""):
+    def __init__(self, p: float = 0.5, name: str = ""):
         super().__init__(name or "dropout")
         if not (0.0 <= p < 1.0):
             raise ShapeError(f"drop probability must be in [0,1), got {p}")
         self.p = p
-        self._rng = make_rng(rng)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(input_shape)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
-from ..errors import ShapeError
 from .module import Layer
 
 
@@ -14,15 +11,6 @@ class Flatten(Layer):
     """Reshape ``(b, ...)`` activations to ``(b, features)``."""
 
     layer_type = "Flatten"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim < 2:
-            raise ShapeError(f"{self.name}: expected >=2-D input, got ndim={x.ndim}")
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        return dy.reshape(self._shape)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         n = 1

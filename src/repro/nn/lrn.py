@@ -3,18 +3,14 @@
 AlexNet/GoogLeNet-era layer:
 
     y_i = x_i / (k + alpha/n * sum_{j in window(i)} x_j^2)^beta
-
-with the exact analytic backward pass.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from ..errors import ShapeError
-from .module import Layer, check_nchw
+from .module import Layer
 
 
 class LocalResponseNorm(Layer):
@@ -36,37 +32,3 @@ class LocalResponseNorm(Layer):
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(input_shape)
-
-    def _window_sum_sq(self, x: np.ndarray) -> np.ndarray:
-        """Channel-windowed sum of squares via a cumulative sum."""
-        half = self.size // 2
-        sq = x * x
-        c = x.shape[1]
-        csum = np.concatenate(
-            [np.zeros_like(sq[:, :1]), np.cumsum(sq, axis=1)], axis=1)
-        lo = np.maximum(np.arange(c) - half, 0)
-        hi = np.minimum(np.arange(c) + half + 1, c)
-        return csum[:, hi] - csum[:, lo]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        check_nchw(x, self)
-        s = self._window_sum_sq(x)
-        denom = self.k + (self.alpha / self.size) * s
-        self._x = x
-        self._denom = denom
-        return x * denom ** (-self.beta)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, denom = self._x, self._denom
-        half = self.size // 2
-        c = x.shape[1]
-        pow_b = denom ** (-self.beta)
-        # dL/dx_i = dy_i * denom_i^-b
-        #           - 2ab/n * x_i * sum_{j: i in window(j)} dy_j x_j denom_j^{-b-1}
-        core = dy * x * denom ** (-self.beta - 1.0)
-        csum = np.concatenate(
-            [np.zeros_like(core[:, :1]), np.cumsum(core, axis=1)], axis=1)
-        lo = np.maximum(np.arange(c) - half, 0)
-        hi = np.minimum(np.arange(c) + half + 1, c)
-        windowed = csum[:, hi] - csum[:, lo]
-        return dy * pow_b - (2.0 * self.alpha * self.beta / self.size) * x * windowed

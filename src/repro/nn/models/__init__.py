@@ -4,10 +4,9 @@ The four "typical real-life CNN models" the paper breaks down in
 Fig. 2 — AlexNet, GoogLeNet, OverFeat and VGG — plus LeNet-5, the
 architecture the paper uses to introduce CNNs (its Fig. 1).
 
-Every model is a real trainable network built from :mod:`repro.nn`
-layers; :func:`model_registry` maps the paper's names to constructors.
-Weights and gradients are allocated on first use, so building a model
-to walk its shapes (Fig. 2, summaries) costs no weight memory.
+Every model is a description built from :mod:`repro.nn` layers:
+geometry and parameter shapes, no weights.  :func:`model_registry`
+maps the paper's names to constructors.
 """
 
 from .lenet5 import lenet5

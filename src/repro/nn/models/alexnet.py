@@ -17,8 +17,7 @@ from ..pooling import MaxPool2d
 from ..relu import ReLU
 
 
-def alexnet(num_classes: int = 1000, backend=None, rng=None,
-            grouped: bool = False) -> Sequential:
+def alexnet(num_classes: int = 1000, grouped: bool = False) -> Sequential:
     """Build AlexNet for 227x227x3 inputs.
 
     ``grouped=True`` restores the original paper's two-tower grouping
@@ -28,31 +27,28 @@ def alexnet(num_classes: int = 1000, backend=None, rng=None,
     """
     g = 2 if grouped else 1
     return Sequential(
-        Conv2d(3, 96, 11, stride=4, backend=backend, rng=rng, name="conv1"),
+        Conv2d(3, 96, 11, stride=4, name="conv1"),
         ReLU(name="relu1"),
         LocalResponseNorm(5, name="norm1"),
         MaxPool2d(3, 2, name="pool1"),
-        Conv2d(96, 256, 5, padding=2, groups=g, backend=backend, rng=rng,
-               name="conv2"),
+        Conv2d(96, 256, 5, padding=2, groups=g, name="conv2"),
         ReLU(name="relu2"),
         LocalResponseNorm(5, name="norm2"),
         MaxPool2d(3, 2, name="pool2"),
-        Conv2d(256, 384, 3, padding=1, backend=backend, rng=rng, name="conv3"),
+        Conv2d(256, 384, 3, padding=1, name="conv3"),
         ReLU(name="relu3"),
-        Conv2d(384, 384, 3, padding=1, groups=g, backend=backend, rng=rng,
-               name="conv4"),
+        Conv2d(384, 384, 3, padding=1, groups=g, name="conv4"),
         ReLU(name="relu4"),
-        Conv2d(384, 256, 3, padding=1, groups=g, backend=backend, rng=rng,
-               name="conv5"),
+        Conv2d(384, 256, 3, padding=1, groups=g, name="conv5"),
         ReLU(name="relu5"),
         MaxPool2d(3, 2, name="pool5"),
         Flatten(name="flatten"),
-        Linear(256 * 6 * 6, 4096, rng=rng, name="fc6"),
+        Linear(256 * 6 * 6, 4096, name="fc6"),
         ReLU(name="relu6"),
-        Dropout(0.5, rng=rng, name="drop6"),
-        Linear(4096, 4096, rng=rng, name="fc7"),
+        Dropout(0.5, name="drop6"),
+        Linear(4096, 4096, name="fc7"),
         ReLU(name="relu7"),
-        Dropout(0.5, rng=rng, name="drop7"),
-        Linear(4096, num_classes, rng=rng, name="fc8"),
+        Dropout(0.5, name="drop7"),
+        Linear(4096, num_classes, name="fc8"),
         name="AlexNet",
     )

@@ -15,31 +15,20 @@ from ..pooling import MaxPool2d
 from ..relu import ReLU
 
 
-def lenet5(num_classes: int = 10, backend=None, rng=None) -> Sequential:
-    """Build LeNet-5.
-
-    Parameters
-    ----------
-    num_classes:
-        Output classes (10 for digits).
-    backend:
-        Convolution backend passed to every :class:`Conv2d` (any
-        strategy or implementation name).
-    rng:
-        Weight-initialisation seed.
-    """
+def lenet5(num_classes: int = 10) -> Sequential:
+    """Build LeNet-5 with ``num_classes`` outputs (10 for digits)."""
     return Sequential(
-        Conv2d(1, 6, 5, backend=backend, rng=rng, name="conv1"),
+        Conv2d(1, 6, 5, name="conv1"),
         ReLU(name="relu1"),
         MaxPool2d(2, 2, name="pool1"),
-        Conv2d(6, 16, 5, backend=backend, rng=rng, name="conv2"),
+        Conv2d(6, 16, 5, name="conv2"),
         ReLU(name="relu2"),
         MaxPool2d(2, 2, name="pool2"),
         Flatten(name="flatten"),
-        Linear(16 * 5 * 5, 120, rng=rng, name="fc3"),
+        Linear(16 * 5 * 5, 120, name="fc3"),
         ReLU(name="relu3"),
-        Linear(120, 84, rng=rng, name="fc4"),
+        Linear(120, 84, name="fc4"),
         ReLU(name="relu4"),
-        Linear(84, num_classes, rng=rng, name="fc5"),
+        Linear(84, num_classes, name="fc5"),
         name="LeNet-5",
     )

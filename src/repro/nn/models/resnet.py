@@ -32,11 +32,10 @@ _STAGE_CHANNELS = (64, 128, 256, 512)
 
 
 def _conv_bn(g: Graph, name: str, src: str, in_ch: int, out_ch: int,
-             kernel: int, stride: int, padding: int, backend, rng,
+             kernel: int, stride: int, padding: int,
              relu: bool = True) -> str:
     g.add(f"{name}_conv", Conv2d(in_ch, out_ch, kernel, stride=stride,
                                  padding=padding, bias=False,
-                                 backend=backend, rng=rng,
                                  name=f"{name}/conv"), src)
     g.add(f"{name}_bn", BatchNorm2d(out_ch, name=f"{name}/bn"),
           f"{name}_conv")
@@ -47,25 +46,23 @@ def _conv_bn(g: Graph, name: str, src: str, in_ch: int, out_ch: int,
 
 
 def _basic_block(g: Graph, name: str, src: str, in_ch: int, out_ch: int,
-                 stride: int, backend, rng) -> str:
+                 stride: int) -> str:
     """Two 3x3 conv-bn stages plus the residual shortcut."""
-    a = _conv_bn(g, f"{name}a", src, in_ch, out_ch, 3, stride, 1,
-                 backend, rng)
-    b = _conv_bn(g, f"{name}b", a, out_ch, out_ch, 3, 1, 1, backend, rng,
-                 relu=False)
+    a = _conv_bn(g, f"{name}a", src, in_ch, out_ch, 3, stride, 1)
+    b = _conv_bn(g, f"{name}b", a, out_ch, out_ch, 3, 1, 1, relu=False)
     shortcut = src
     if stride != 1 or in_ch != out_ch:
         shortcut = _conv_bn(g, f"{name}s", src, in_ch, out_ch, 1, stride, 0,
-                            backend, rng, relu=False)
+                            relu=False)
     g.add(f"{name}_add", Add(name=f"{name}/add"), [b, shortcut])
     g.add(f"{name}_out", ReLU(name=f"{name}/relu_out"), f"{name}_add")
     return f"{name}_out"
 
 
-def _resnet(depth: int, num_classes: int, backend, rng) -> Graph:
+def _resnet(depth: int, num_classes: int) -> Graph:
     blocks = _PLANS[depth]
     g = Graph(name=f"ResNet-{depth}")
-    node = _conv_bn(g, "stem", "input", 3, 64, 7, 2, 3, backend, rng)
+    node = _conv_bn(g, "stem", "input", 3, 64, 7, 2, 3)
     g.add("stem_pool", MaxPool2d(3, 2, padding=1, ceil_mode=False,
                                  name="stem/pool"), node)
     node = "stem_pool"
@@ -75,20 +72,20 @@ def _resnet(depth: int, num_classes: int, backend, rng) -> Graph:
         for block in range(n_blocks):
             stride = 2 if (stage > 1 and block == 0) else 1
             node = _basic_block(g, f"s{stage}b{block}", node, in_ch, out_ch,
-                                stride, backend, rng)
+                                stride)
             in_ch = out_ch
     g.add("head_pool", AvgPool2d(7, 1, name="head/pool"), node)
     g.add("head_flat", Flatten(name="head/flatten"), "head_pool")
-    g.add("head_fc", Linear(512, num_classes, rng=rng, name="head/fc"),
+    g.add("head_fc", Linear(512, num_classes, name="head/fc"),
           "head_flat")
     return g
 
 
-def resnet18(num_classes: int = 1000, backend=None, rng=None) -> Graph:
+def resnet18(num_classes: int = 1000) -> Graph:
     """ResNet-18 for 224x224x3 inputs (~11.7 M parameters)."""
-    return _resnet(18, num_classes, backend, rng)
+    return _resnet(18, num_classes)
 
 
-def resnet34(num_classes: int = 1000, backend=None, rng=None) -> Graph:
+def resnet34(num_classes: int = 1000) -> Graph:
     """ResNet-34 for 224x224x3 inputs (~21.8 M parameters)."""
-    return _resnet(34, num_classes, backend, rng)
+    return _resnet(34, num_classes)

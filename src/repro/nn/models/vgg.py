@@ -22,33 +22,32 @@ _VGG16_PLAN = ((2, 64), (2, 128), (3, 256), (3, 512), (3, 512))
 _VGG19_PLAN = ((2, 64), (2, 128), (4, 256), (4, 512), (4, 512))
 
 
-def _vgg(plan: Sequence, num_classes: int, backend, rng, name: str) -> Sequential:
+def _vgg(plan: Sequence, num_classes: int, name: str) -> Sequential:
     model = Sequential(name=name)
     in_ch = 3
     for block, (convs, out_ch) in enumerate(plan, start=1):
         for i in range(1, convs + 1):
-            model.add(Conv2d(in_ch, out_ch, 3, padding=1, backend=backend,
-                             rng=rng, name=f"conv{block}_{i}"))
+            model.add(Conv2d(in_ch, out_ch, 3, padding=1, name=f"conv{block}_{i}"))
             model.add(ReLU(name=f"relu{block}_{i}"))
             in_ch = out_ch
         model.add(MaxPool2d(2, 2, name=f"pool{block}"))
     model.add(Flatten(name="flatten"))
-    model.add(Linear(512 * 7 * 7, 4096, rng=rng, name="fc6"))
+    model.add(Linear(512 * 7 * 7, 4096, name="fc6"))
     model.add(ReLU(name="relu6"))
-    model.add(Dropout(0.5, rng=rng, name="drop6"))
-    model.add(Linear(4096, 4096, rng=rng, name="fc7"))
+    model.add(Dropout(0.5, name="drop6"))
+    model.add(Linear(4096, 4096, name="fc7"))
     model.add(ReLU(name="relu7"))
-    model.add(Dropout(0.5, rng=rng, name="drop7"))
-    model.add(Linear(4096, num_classes, rng=rng, name="fc8"))
+    model.add(Dropout(0.5, name="drop7"))
+    model.add(Linear(4096, num_classes, name="fc8"))
     return model
 
 
-def vgg16(num_classes: int = 1000, backend=None, rng=None) -> Sequential:
+def vgg16(num_classes: int = 1000) -> Sequential:
     """VGG-16 (configuration D) for 224x224x3 inputs."""
-    return _vgg(_VGG16_PLAN, num_classes, backend, rng, "VGG-16")
+    return _vgg(_VGG16_PLAN, num_classes, "VGG-16")
 
 
-def vgg19(num_classes: int = 1000, backend=None, rng=None) -> Sequential:
+def vgg19(num_classes: int = 1000) -> Sequential:
     """VGG-19 (configuration E) for 224x224x3 inputs — the variant the
     paper cites."""
-    return _vgg(_VGG19_PLAN, num_classes, backend, rng, "VGG-19")
+    return _vgg(_VGG19_PLAN, num_classes, "VGG-19")

@@ -3,17 +3,15 @@
 ``Sequential`` covers LeNet-5 / AlexNet / VGG / OverFeat;
 ``Graph`` adds the branch-and-concat structure GoogLeNet's inception
 modules need (layers are inserted with named inputs; ``Concat`` nodes
-take several).
+take several).  Both walk shapes only (``output_shape`` and
+``shape_walk``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..errors import ShapeError
-from .concat import Concat
 from .module import Layer, Parameter
 
 
@@ -40,27 +38,11 @@ class Sequential(Layer):
         self.layers.append(layer)
         return self
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
-
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         for layer in self.layers:
             params.extend(layer.parameters())
         return params
-
-    def train(self, mode: bool = True) -> "Sequential":
-        super().train(mode)
-        for layer in self.layers:
-            layer.train(mode)
-        return self
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         shape = tuple(input_shape)
@@ -149,49 +131,11 @@ class Graph(Layer):
             raise ShapeError("graph has no nodes")
         return self._output
 
-    # -- execution ----------------------------------------------------------
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        values: Dict[str, np.ndarray] = {INPUT: x}
-        for name in self._order:
-            node = self._nodes[name]
-            ins = [values[s] for s in node.inputs]
-            if _multi_input(node.layer):
-                values[name] = node.layer.forward(ins)
-            else:
-                values[name] = node.layer.forward(ins[0])
-        return values[self.output_node]
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        grads: Dict[str, np.ndarray] = {self.output_node: dy}
-        for name in reversed(self._order):
-            node = self._nodes[name]
-            if name not in grads:
-                continue  # dead branch (not on a path to the output)
-            gout = node.layer.backward(grads.pop(name))
-            gins = gout if _multi_input(node.layer) else [gout]
-            for src, g in zip(node.inputs, gins):
-                if src in grads:
-                    grads[src] = grads[src] + g
-                else:
-                    grads[src] = g
-        if INPUT not in grads:
-            raise ShapeError("graph output is not connected to the input")
-        return grads[INPUT]
-
-    # -- bookkeeping ----------------------------------------------------------
-
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         for name in self._order:
             params.extend(self._nodes[name].layer.parameters())
         return params
-
-    def train(self, mode: bool = True) -> "Graph":
-        super().train(mode)
-        for name in self._order:
-            self._nodes[name].layer.train(mode)
-        return self
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         shapes = self._shape_map(input_shape)

@@ -1,21 +1,16 @@
 """Pooling layers.
 
 Max and average pooling with Caffe-style ceil-mode geometry (the
-models the paper profiles are Caffe-era definitions).  The forward
-pass materialises the pooling windows as strided views; max pooling
-stores the argmax for an exact backward scatter.
+models the paper profiles are Caffe-era definitions).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 from ..errors import ShapeError
 from ..tensor.shapes import pool_output_size
-from .module import Layer, check_nchw
+from .module import Layer
 
 
 class _Pool2d(Layer):
@@ -45,73 +40,10 @@ class _Pool2d(Layer):
                               self.ceil_mode)
         return (b, c, oh, ow)
 
-    def _padded(self, x: np.ndarray, fill: float) -> np.ndarray:
-        b, c, h, w = x.shape
-        oh, ow = self.output_shape(x.shape)[2:]
-        # Pad enough on the right/bottom for ceil-mode windows too.
-        need_h = (oh - 1) * self.stride + self.window
-        need_w = (ow - 1) * self.stride + self.window
-        ph_lo = self.padding
-        ph_hi = max(need_h - h - self.padding, 0)
-        pw_lo = self.padding
-        pw_hi = max(need_w - w - self.padding, 0)
-        self._pads = (ph_lo, ph_hi, pw_lo, pw_hi)
-        return np.pad(x, ((0, 0), (0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi)),
-                      constant_values=fill)
-
-    def _windows(self, xp: np.ndarray) -> np.ndarray:
-        win = sliding_window_view(xp, (self.window, self.window), axis=(2, 3))
-        return win[:, :, ::self.stride, ::self.stride]
-
 
 class MaxPool2d(_Pool2d):
-    """Max pooling; backward routes each gradient to its argmax."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        check_nchw(x, self)
-        xp = self._padded(x, -np.inf)
-        win = self._windows(xp)
-        b, c, oh, ow, _, _ = win.shape
-        flat = win.reshape(b, c, oh, ow, -1)
-        self._argmax = flat.argmax(axis=-1)
-        self._x_shape = x.shape
-        self._xp_shape = xp.shape
-        return flat.max(axis=-1)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, oh, ow = dy.shape
-        dxp = np.zeros(self._xp_shape, dtype=dy.dtype)
-        di, dj = np.unravel_index(self._argmax, (self.window, self.window))
-        bi, ci, pi, qi = np.indices((b, c, oh, ow), sparse=False)
-        rows = pi * self.stride + di
-        cols = qi * self.stride + dj
-        np.add.at(dxp, (bi, ci, rows, cols), dy)
-        ph_lo, ph_hi, pw_lo, pw_hi = self._pads
-        h_end = dxp.shape[2] - ph_hi
-        w_end = dxp.shape[3] - pw_hi
-        return dxp[:, :, ph_lo:h_end, pw_lo:w_end]
+    """Max pooling."""
 
 
 class AvgPool2d(_Pool2d):
-    """Average pooling; backward spreads gradients uniformly."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        check_nchw(x, self)
-        xp = self._padded(x, 0.0)
-        win = self._windows(xp)
-        self._x_shape = x.shape
-        self._xp_shape = xp.shape
-        return win.mean(axis=(-2, -1))
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        b, c, oh, ow = dy.shape
-        dxp = np.zeros(self._xp_shape, dtype=dy.dtype)
-        share = dy / (self.window * self.window)
-        for di in range(self.window):
-            for dj in range(self.window):
-                dxp[:, :, di:di + (oh - 1) * self.stride + 1:self.stride,
-                    dj:dj + (ow - 1) * self.stride + 1:self.stride] += share
-        ph_lo, ph_hi, pw_lo, pw_hi = self._pads
-        h_end = dxp.shape[2] - ph_hi
-        w_end = dxp.shape[3] - pw_hi
-        return dxp[:, :, ph_lo:h_end, pw_lo:w_end]
+    """Average pooling."""

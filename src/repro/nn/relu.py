@@ -4,27 +4,13 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from .module import Layer
 
 
 class ReLU(Layer):
-    """Elementwise ``max(x, 0)``; backward masks by the forward sign."""
+    """Elementwise ``max(x, 0)``."""
 
     layer_type = "ReLU"
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if dy.shape != self._mask.shape:
-            raise ValueError(
-                f"{self.name}: gradient shape {dy.shape} does not match "
-                f"forward shape {self._mask.shape}"
-            )
-        return np.where(self._mask, dy, 0.0)
 
     def output_shape(self, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(input_shape)

@@ -123,6 +123,39 @@ class TraceRun:
 # loading
 # ---------------------------------------------------------------------------
 
+_NUMBER = (int, float)
+_OR_NULL = type(None)
+
+#: Field -> types of each JSONL record type, as
+#: :func:`~repro.obs.export.jsonl_lines` writes them.
+_RECORD_FIELDS = {
+    "span": {"sid": int, "parent": (int, _OR_NULL), "name": str,
+             "cat": str, "start_s": _NUMBER, "end_s": _NUMBER,
+             "attrs": (dict, _OR_NULL)},
+    "event": {"name": str, "t_s": _NUMBER, "span": (int, _OR_NULL),
+              "attrs": (dict, _OR_NULL)},
+}
+#: Fields a record may leave out (read as null).
+_OPTIONAL_FIELDS = ("span", "attrs")
+
+
+def _fields(rec: dict, where: str) -> dict:
+    """``rec``'s fields, each checked against :data:`_RECORD_FIELDS`
+    (a bool is not a number); raises :class:`TraceSchemaError` at
+    ``where`` (``file:line``) on the first bad one."""
+    kind = rec["type"]
+    out = {}
+    for name, types in _RECORD_FIELDS[kind].items():
+        if name not in rec and name not in _OPTIONAL_FIELDS:
+            raise TraceSchemaError(f"{where}: {kind} record missing {name!r}")
+        value = out[name] = rec.get(name)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TraceSchemaError(
+                f"{where}: {kind} field {name!r} has the wrong type: "
+                f"{value!r}")
+    return out
+
+
 def from_tracer(tracer: SimTracer) -> TraceRun:
     """Adapt a live tracer's span forest without re-serialising."""
     nodes: Dict[int, TraceSpan] = {}
@@ -152,7 +185,10 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
     The first record may be a ``header`` carrying ``schema_version``
     (logs written before versioning are treated as version 1); an
     unknown version raises :class:`~repro.errors.TraceSchemaError`
-    rather than silently misreading the log.
+    rather than silently misreading the log.  So do a record whose
+    fields have the wrong types, an event on an unknown span, and a
+    span that no root reaches (its parent chain loops), each naming
+    ``source:line``.
     """
     version = SCHEMA_VERSION
     records = []
@@ -162,7 +198,7 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceSchemaError(
                 f"{source}:{i + 1}: not valid JSON: {exc}") from exc
         if not isinstance(rec, dict) or "type" not in rec:
@@ -180,31 +216,27 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
     nodes: Dict[int, TraceSpan] = {}
     orphans: List[TraceEvent] = []
     pending_events: List[Tuple[int, int, TraceEvent]] = []
-    order: List[TraceSpan] = []
+    order: List[Tuple[int, TraceSpan]] = []
     for lineno, rec in records:
         kind = rec["type"]
         if kind == "span":
-            try:
-                node = TraceSpan(sid=rec["sid"], parent=rec["parent"],
-                                 name=rec["name"], cat=rec["cat"],
-                                 start_s=rec["start_s"], end_s=rec["end_s"],
-                                 attrs=dict(rec.get("attrs") or {}))
-            except KeyError as exc:
-                raise TraceSchemaError(
-                    f"{source}:{lineno}: span record missing {exc}") from exc
+            f = _fields(rec, f"{source}:{lineno}")
+            node = TraceSpan(sid=f["sid"], parent=f["parent"],
+                             name=f["name"], cat=f["cat"],
+                             start_s=f["start_s"], end_s=f["end_s"],
+                             attrs=dict(f["attrs"] or {}))
             if node.sid in nodes:
                 raise TraceSchemaError(
                     f"{source}:{lineno}: duplicate span sid {node.sid}")
             nodes[node.sid] = node
-            order.append(node)
+            order.append((lineno, node))
         elif kind == "event":
-            ev = TraceEvent(rec["name"], rec["t_s"],
-                            dict(rec.get("attrs") or {}))
-            sid = rec.get("span")
-            if sid is None:
+            f = _fields(rec, f"{source}:{lineno}")
+            ev = TraceEvent(f["name"], f["t_s"], dict(f["attrs"] or {}))
+            if f["span"] is None:
                 orphans.append(ev)
             else:
-                pending_events.append((lineno, sid, ev))
+                pending_events.append((lineno, f["span"], ev))
         elif kind == "header":
             raise TraceSchemaError(
                 f"{source}:{lineno}: header must be the first record")
@@ -212,12 +244,23 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
             raise TraceSchemaError(
                 f"{source}:{lineno}: unknown record type {kind!r}")
     roots: List[TraceSpan] = []
-    for node in order:
+    for _, node in order:
         parent = nodes.get(node.parent) if node.parent is not None else None
         if parent is not None:
             parent.children.append(node)
         else:
             roots.append(node)
+    reached = set()
+    stack = list(roots)
+    while stack:
+        span = stack.pop()
+        reached.add(span.sid)
+        stack.extend(span.children)
+    for lineno, node in order:
+        if node.sid not in reached:
+            raise TraceSchemaError(
+                f"{source}:{lineno}: span {node.sid} is reached from no "
+                f"root (its parent chain loops)")
     for lineno, sid, ev in pending_events:
         span = nodes.get(sid)
         if span is None:

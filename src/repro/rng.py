@@ -1,7 +1,7 @@
 """Deterministic random-number helpers.
 
-All stochastic pieces of the package (synthetic workloads, weight
-initialisation, dropout masks) draw from :func:`make_rng` so that every
+All stochastic pieces of the package (serving traffic, fault
+injection, routing) draw from :func:`make_rng` so that every
 experiment, test and example is reproducible from a single integer
 seed.  Following the NumPy guidance in the HPC guides, we use the
 modern ``Generator`` API rather than the legacy global state.

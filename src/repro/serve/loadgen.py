@@ -169,6 +169,20 @@ def generate_trace(spec: TrafficSpec = TrafficSpec()) -> List[Arrival]:
     return arrivals
 
 
+def check_order(trace: Sequence[Arrival]) -> None:
+    """Raise :class:`ValueError` naming the first arrival of ``trace``
+    that is out of ``(t_s, rid)`` order, the order
+    :func:`generate_trace` emits.  One pass; nothing is sorted."""
+    last_t, last_rid = float("-inf"), 0
+    for a in trace:
+        t = a.t_s
+        if t < last_t or (t == last_t and a.rid < last_rid):
+            raise ValueError(
+                f"trace is not in arrival order: rid {a.rid} "
+                f"(t_s={t!r}) follows rid {last_rid} (t_s={last_t!r})")
+        last_t, last_rid = t, a.rid
+
+
 def trace_summary(trace: Sequence[Arrival], spec: TrafficSpec) -> str:
     """Human-readable description of a generated trace."""
     per_model: Dict[str, int] = {}

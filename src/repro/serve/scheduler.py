@@ -70,7 +70,7 @@ from ..obs.timeseries import Rollups, TelemetryConfig
 from ..obs.tracer import SimTracer, TraceSampler
 from ..rng import DEFAULT_SEED
 from .batcher import BatchPolicy, DynamicBatcher
-from .loadgen import Arrival
+from .loadgen import Arrival, check_order
 from .plan_cache import PlanCache
 from .queue import AdmissionQueue
 from .request import ShapeKey, batched_config
@@ -564,16 +564,18 @@ class Server:
 
         The same :meth:`admit` / :meth:`shed_expired` / :meth:`pump`
         sequence the cluster replica loop drives, with every arrival
-        due at one stop admitted in a single call.
+        due at one stop admitted in a single call.  ``trace`` must be
+        in ``(t_s, rid)`` order (:func:`~repro.serve.loadgen.check_order`).
         """
+        check_order(trace)
         self.begin()
         clock = self.clock
         queue = self.queue
         monitor = self._monitor
         admit, shed_expired, pump = self.admit, self.shed_expired, self.pump
-        # Sorted list + cursor instead of a deque of popped arrivals:
+        # Ordered trace + cursor instead of a deque of popped arrivals:
         # bulk admission walks a slice with no per-element pops.
-        pending = sorted(trace, key=lambda a: (a.t_s, a.rid))
+        pending = trace
         n = len(pending)
         i = 0
         with obs_session(self.obs), \

@@ -1,35 +1,17 @@
-"""Synthetic workload generators.
+"""Dataset descriptors.
 
-The paper's measurements need input *shapes*, not labelled data — but
-the training examples do need something learnable.  This subpackage
-provides both: random conv-layer tensors shaped by a
-:class:`~repro.config.ConvConfig`, dataset descriptors for the corpora
-the paper's introduction cites (MNIST, CIFAR-10, ImageNet), and a
-procedural digit dataset that a LeNet-5 can actually learn.
+The paper's measurements need input *shapes*, not labelled data.  This
+subpackage carries the published statistics of the corpora the
+paper's introduction cites (MNIST, CIFAR-10, ImageNet), which the
+training-cost estimate (:mod:`repro.core.training_cost`) reads.
 """
 
-from .synthetic import conv_tensors, random_batch, batch_stream
-from .digits import digit_image, make_digits, DigitDataset
 from .datasets import DatasetSpec, MNIST, CIFAR10, IMAGENET, DATASETS
-from .augment import (Compose, augmented_batches, cutout, gaussian_noise,
-                      random_crop, random_flip)
 
 __all__ = [
-    "conv_tensors",
-    "random_batch",
-    "batch_stream",
-    "digit_image",
-    "make_digits",
-    "DigitDataset",
     "DatasetSpec",
     "MNIST",
     "CIFAR10",
     "IMAGENET",
     "DATASETS",
-    "Compose",
-    "augmented_batches",
-    "cutout",
-    "gaussian_noise",
-    "random_crop",
-    "random_flip",
 ]

@@ -3,9 +3,7 @@
 Section I sizes the training-cost argument with three corpora: MNIST
 (60k train / 10k test, 28x28 grey), CIFAR-10 (50k/10k, 32x32 colour)
 and ImageNet (1.2M+ high-resolution).  These descriptors carry those
-published statistics and can synthesise shape-compatible random
-batches for capacity and throughput estimates — the images are noise,
-the geometry is real.
+published statistics.
 """
 
 from __future__ import annotations
@@ -13,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from ..errors import ShapeError
-from ..rng import RngLike, make_rng
 
 
 @dataclass(frozen=True)
@@ -43,16 +38,6 @@ class DatasetSpec:
         if batch <= 0:
             raise ShapeError(f"batch must be positive, got {batch}")
         return -(-self.train_images // batch)
-
-    def synthetic_batch(self, batch: int, rng: RngLike = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """A random batch with this corpus's geometry."""
-        if batch <= 0:
-            raise ShapeError(f"batch must be positive, got {batch}")
-        gen = make_rng(rng)
-        x = gen.standard_normal((batch,) + self.image_shape).astype(np.float32)
-        y = gen.integers(0, self.classes, size=batch)
-        return x, y
 
 
 MNIST = DatasetSpec("MNIST", 60_000, 10_000, 1, 28, 10)

@@ -194,6 +194,18 @@ class TestAutoscaling:
         assert report.slo_violations == 0
 
 
+class TestTraceOrder:
+    def test_two_swapped_arrivals_raise(self):
+        trace = small_trace(duration=0.05)
+        first, second = trace[10], trace[11]
+        trace[10], trace[11] = second, first
+        cluster = Cluster(ClusterConfig(replicas=2, server=small_server()))
+        with pytest.raises(ValueError,
+                           match=f"rid {first.rid} .* follows rid "
+                                 f"{second.rid} "):
+            cluster.run(trace)
+
+
 class TestKills:
     def test_scheduled_kill_retires_replica(self):
         trace = small_trace(rate=2000)

@@ -123,14 +123,3 @@ class TestArithmetic:
         ragged = forward_multiplies(1, 1, 1, 5, 5)
         assert ragged > full
 
-
-class TestAsConvBackend:
-    def test_usable_in_conv2d_layer(self, rng):
-        """The strategy plugs into the NN layer like the other three."""
-        from repro.conv import winograd
-        from repro.nn import Conv2d
-        layer = Conv2d(3, 4, 3, padding=1, backend=winograd, rng=0)
-        x = rng.standard_normal((2, 3, 8, 8))
-        ref = Conv2d(3, 4, 3, padding=1, rng=0)
-        np.testing.assert_allclose(layer.forward(x), ref.forward(x),
-                                   rtol=1e-9, atol=1e-9)

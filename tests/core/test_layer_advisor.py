@@ -11,17 +11,17 @@ from repro.nn.models import alexnet, lenet5, model_registry
 
 @pytest.fixture(scope="module")
 def alexnet_report():
-    return oracle_mix("AlexNet", alexnet(rng=0), (128, 3, 227, 227))
+    return oracle_mix("AlexNet", alexnet(), (128, 3, 227, 227))
 
 
 class TestConvConfigsOf:
     def test_alexnet_five_convs(self):
-        configs = conv_configs_of(alexnet(rng=0), (128, 3, 227, 227))
+        configs = conv_configs_of(alexnet(), (128, 3, 227, 227))
         assert len(configs) == 5
         assert configs[0][1].tuple5 == (128, 227, 96, 11, 4)
 
     def test_lenet_two_convs(self):
-        configs = conv_configs_of(lenet5(rng=0), (32, 1, 32, 32))
+        configs = conv_configs_of(lenet5(), (32, 1, 32, 32))
         assert [n for n, _ in configs] == ["conv1", "conv2"]
 
 
@@ -63,7 +63,7 @@ class TestOracleMix:
 
     def test_vgg_oracle_close_to_fbfft(self):
         ctor, shape = model_registry()["VGG-16"]
-        rep = oracle_mix("VGG-16", ctor(rng=0), (64,) + shape)
+        rep = oracle_mix("VGG-16", ctor(), (64,) + shape)
         # All layers stride-1 3x3: fbfft is near-universal, mix gains
         # little.
         assert rep.oracle_speedup < 1.2

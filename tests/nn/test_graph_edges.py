@@ -1,75 +1,32 @@
-"""Edge cases of the Graph container: dead branches, set_output,
-deep fan-in, GoogLeNet-shaped structures."""
+"""Edge cases of the Graph container: deep fan-in, GoogLeNet-shaped
+structures, nesting."""
 
-import numpy as np
-import pytest
-
-from repro.errors import ShapeError
 from repro.nn import Concat, Conv2d, ReLU, Sequential
 from repro.nn.network import Graph
 
 
-class TestDeadBranches:
-    def test_backward_skips_dead_branch(self, rng):
-        """A node not on any path to the output gets no gradient and
-        must not break the backward pass."""
-        g = Graph()
-        g.add("main", ReLU())
-        g.add("dead", Conv2d(2, 4, 1, rng=0), "main")  # never consumed
-        g.set_output("main")
-        x = np.abs(rng.standard_normal((1, 2, 3, 3)))
-        g.forward(x)
-        dy = rng.standard_normal((1, 2, 3, 3))
-        dx = g.backward(dy)
-        np.testing.assert_allclose(dx, dy)  # pure ReLU path, positive x
-        # The dead conv accumulated nothing.
-        assert np.all(g._nodes["dead"].layer.weight.grad == 0)
-
-    def test_disconnected_output_raises(self, rng):
-        g = Graph()
-        g.add("a", ReLU())
-        # Build a second node consuming 'a', then output on a branch
-        # that never reaches the input... not constructible by design:
-        # all nodes trace back to input.  Instead verify the error path
-        # by corrupting the consumer map is unnecessary — assert the
-        # invariant that backward always reaches the input.
-        x = rng.standard_normal((1, 1, 2, 2))
-        g.forward(x)
-        assert g.backward(np.ones_like(x)).shape == x.shape
-
-
 class TestDeepFanIn:
-    def test_three_way_concat_of_input(self, rng):
+    def test_three_way_concat_of_input(self):
         g = Graph()
         g.add("r1", ReLU())
         g.add("r2", ReLU(), "input")
         g.add("r3", ReLU(), "input")
         g.add("cat", Concat(), ["r1", "r2", "r3"])
-        x = np.abs(rng.standard_normal((2, 2, 3, 3)))
-        y = g.forward(x)
-        assert y.shape == (2, 6, 3, 3)
-        dy = rng.standard_normal(y.shape)
-        dx = g.backward(dy)
-        np.testing.assert_allclose(dx, dy[:, :2] + dy[:, 2:4] + dy[:, 4:])
+        assert g.output_shape((2, 2, 3, 3)) == (2, 6, 3, 3)
 
-    def test_inception_like_module_shapes(self, rng):
+    def test_inception_like_module_shapes(self):
         """A miniature inception block: four branches, concat."""
         g = Graph()
-        g.add("b1", Conv2d(8, 4, 1, rng=0))
-        g.add("b2a", Conv2d(8, 2, 1, rng=1), "input")
-        g.add("b2b", Conv2d(2, 6, 3, padding=1, rng=2), "b2a")
-        g.add("b3a", Conv2d(8, 2, 1, rng=3), "input")
-        g.add("b3b", Conv2d(2, 3, 5, padding=2, rng=4), "b3a")
-        g.add("b4", Conv2d(8, 3, 1, rng=5), "input")
+        g.add("b1", Conv2d(8, 4, 1))
+        g.add("b2a", Conv2d(8, 2, 1), "input")
+        g.add("b2b", Conv2d(2, 6, 3, padding=1), "b2a")
+        g.add("b3a", Conv2d(8, 2, 1), "input")
+        g.add("b3b", Conv2d(2, 3, 5, padding=2), "b3a")
+        g.add("b4", Conv2d(8, 3, 1), "input")
         g.add("out", Concat(), ["b1", "b2b", "b3b", "b4"])
-        x = rng.standard_normal((2, 8, 7, 7))
-        y = g.forward(x)
-        assert y.shape == (2, 4 + 6 + 3 + 3, 7, 7)
-        dx = g.backward(rng.standard_normal(y.shape))
-        assert dx.shape == x.shape
-        assert np.isfinite(dx).all()
+        assert g.output_shape((2, 8, 7, 7)) == (2, 4 + 6 + 3 + 3, 7, 7)
 
-    def test_shape_walk_covers_all_nodes(self, rng):
+    def test_shape_walk_covers_all_nodes(self):
         g = Graph()
         g.add("a", ReLU())
         g.add("b", ReLU(), "a")
@@ -78,17 +35,8 @@ class TestDeepFanIn:
 
 
 class TestContainersNesting:
-    def test_sequential_inside_graph(self, rng):
+    def test_sequential_inside_graph(self):
         inner = Sequential(ReLU(), ReLU(), name="tower")
         g = Graph()
         g.add("tower", inner)
-        x = np.abs(rng.standard_normal((1, 2, 3, 3)))
-        np.testing.assert_allclose(g.forward(x), x)
-        assert g.output_shape(x.shape) == x.shape
-
-    def test_train_mode_reaches_nested_layers(self):
-        inner = Sequential(ReLU(), name="tower")
-        g = Graph()
-        g.add("tower", inner)
-        g.eval()
-        assert not inner.layers[0].training
+        assert g.output_shape((1, 2, 3, 3)) == (1, 2, 3, 3)

@@ -1,10 +1,8 @@
 """Tests for the nn layer's observability instrumentation."""
 
-import numpy as np
 import pytest
 
 from repro.gpusim.timing import SimClock
-from repro.nn import Flatten, Linear, ReLU, SGD, Sequential, Trainer
 from repro.nn.models import lenet5
 from repro.nn.simulate import model_breakdown
 from repro.obs.context import Observability, obs_session
@@ -29,7 +27,7 @@ class TestModelBreakdownTracing:
     def test_iteration_span_tree(self):
         obs = traced_obs()
         with obs_session(obs):
-            costs = model_breakdown(lenet5(rng=0), SHAPE)
+            costs = model_breakdown(lenet5(), SHAPE)
         root = iteration_root(obs.tracer)
         assert root.attrs["model"] == "Sequential"
         assert root.attrs["implementation"] == "cuDNN"
@@ -52,7 +50,7 @@ class TestModelBreakdownTracing:
     def test_spans_consume_simulated_time(self):
         obs = traced_obs()
         with obs_session(obs):
-            costs = model_breakdown(lenet5(rng=0), SHAPE)
+            costs = model_breakdown(lenet5(), SHAPE)
         root = iteration_root(obs.tracer)
         total = sum(c.time_s for c in costs)
         assert root.duration_s == pytest.approx(total)
@@ -61,13 +59,13 @@ class TestModelBreakdownTracing:
             pytest.approx([c.forward_s for c in costs])
 
     def test_costs_unchanged_by_tracing(self):
-        untraced = model_breakdown(lenet5(rng=0), SHAPE)
+        untraced = model_breakdown(lenet5(), SHAPE)
         with obs_session(traced_obs()):
-            traced = model_breakdown(lenet5(rng=0), SHAPE)
+            traced = model_breakdown(lenet5(), SHAPE)
         assert [c.time_s for c in traced] == [c.time_s for c in untraced]
 
     def test_forward_backward_split_sums_to_total(self):
-        for cost in model_breakdown(lenet5(rng=0), SHAPE):
+        for cost in model_breakdown(lenet5(), SHAPE):
             assert cost.forward_s + cost.backward_s == \
                 pytest.approx(cost.time_s)
             assert cost.forward_s >= 0.0 and cost.backward_s >= 0.0
@@ -75,7 +73,7 @@ class TestModelBreakdownTracing:
     def test_counters_and_histogram(self):
         obs = traced_obs()
         with obs_session(obs):
-            costs = model_breakdown(lenet5(rng=0), SHAPE)
+            costs = model_breakdown(lenet5(), SHAPE)
         registry = obs.registry
         assert registry.value("nn_iterations_total") == 1
         per_type = registry.series("nn_layers_total")
@@ -88,49 +86,7 @@ class TestModelBreakdownTracing:
     def test_no_session_no_spans(self):
         from repro.obs.context import get_obs
 
-        costs = model_breakdown(lenet5(rng=0), SHAPE)
+        costs = model_breakdown(lenet5(), SHAPE)
         assert costs
         assert get_obs().tracer.span_count() == 0
 
-
-class TestTrainerInstrumentation:
-    def make_step(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((16, 4))
-        labels = (x[:, 0] > 0).astype(int)
-        model = Sequential(Linear(4, 8, rng=0), ReLU(), Linear(8, 2, rng=1))
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.1))
-        return trainer, x, labels
-
-    def test_step_span_tree(self):
-        trainer, x, labels = self.make_step()
-        obs = traced_obs()
-        with obs_session(obs):
-            trainer.train_step(x, labels)
-        (root,) = obs.tracer.roots
-        assert root.name == "train.step"
-        assert root.attrs["batch"] == 16
-        assert [s.name for s in root.children] == \
-            ["train.forward", "train.backward", "train.update"]
-
-    def test_step_counters_and_histograms(self):
-        trainer, x, labels = self.make_step()
-        obs = traced_obs()
-        with obs_session(obs):
-            loss, acc = trainer.train_step(x, labels)
-            trainer.train_step(x, labels)
-        registry = obs.registry
-        assert registry.value("train_steps_total") == 2
-        assert registry.value("train_samples_total") == 32
-        assert registry.histogram("train_loss").count == 2
-        assert registry.histogram("train_loss").observations[0] == \
-            pytest.approx(loss)
-        assert registry.histogram("train_batch_accuracy").count == 2
-
-    def test_results_unchanged_by_instrumentation(self):
-        trainer, x, labels = self.make_step()
-        plain = trainer.train_step(x, labels)
-        traced_trainer, x2, labels2 = self.make_step()
-        with obs_session(traced_obs()):
-            traced = traced_trainer.train_step(x2, labels2)
-        assert traced == pytest.approx(plain)

@@ -4,7 +4,6 @@ The paper quotes specific structural facts about these models
 (section I); they are asserted here.
 """
 
-import numpy as np
 import pytest
 
 from repro.nn import Conv2d, Linear
@@ -22,38 +21,38 @@ def count(model, cls):
 class TestStructuralClaims:
     def test_alexnet_paper_claims(self):
         """AlexNet: 5 conv + 3 FC layers, >60M parameters."""
-        m = alexnet(rng=0)
+        m = alexnet()
         assert count(m, Conv2d) == 5
         assert count(m, Linear) == 3
         assert m.parameter_count() > 60e6
 
     def test_vgg19_paper_claims(self):
         """VGG: 16 conv + 3 FC layers, ~144M parameters."""
-        m = vgg19(rng=0)
+        m = vgg19()
         assert count(m, Conv2d) == 16
         assert count(m, Linear) == 3
         assert 140e6 < m.parameter_count() < 148e6
 
     def test_vgg16_structure(self):
-        m = vgg16(rng=0)
+        m = vgg16()
         assert count(m, Conv2d) == 13
         assert 134e6 < m.parameter_count() < 142e6
 
     def test_googlenet_paper_claims(self):
         """GoogLeNet: ~6.8M parameters, 9 inception modules."""
-        m = googlenet(rng=0)
+        m = googlenet()
         assert 6.0e6 < m.parameter_count() < 7.5e6
         convs = count(m, Conv2d)
         # 9 modules x 6 convs + 3 stem convs = 57
         assert convs == 57
 
     def test_overfeat_structure(self):
-        m = overfeat(rng=0)
+        m = overfeat()
         assert count(m, Conv2d) == 5
         assert count(m, Linear) == 3
 
     def test_lenet5_structure(self):
-        m = lenet5(rng=0)
+        m = lenet5()
         assert count(m, Conv2d) == 2
         assert count(m, Linear) == 3
         assert m.parameter_count() < 1e5
@@ -63,11 +62,11 @@ class TestShapes:
     @pytest.mark.parametrize("name", list(FIG2_MODELS))
     def test_fig2_models_classify_1000(self, name):
         ctor, shape = FIG2_MODELS[name]
-        m = ctor(rng=0)
+        m = ctor()
         assert m.output_shape((2,) + shape) == (2, 1000)
 
     def test_lenet_output(self):
-        m = lenet5(rng=0)
+        m = lenet5()
         assert m.output_shape((4, 1, 32, 32)) == (4, 10)
 
     def test_registry_complete(self):
@@ -75,32 +74,3 @@ class TestShapes:
         assert set(reg) >= {"LeNet-5", "AlexNet", "VGG", "OverFeat",
                             "GoogLeNet"}
 
-
-class TestForwardBackwardSmoke:
-    """Tiny-batch forward/backward through each full architecture —
-    expensive models run at reduced spatial scale via output_shape
-    only; LeNet and GoogLeNet stem run numerically."""
-
-    def test_lenet_forward_backward(self, rng):
-        m = lenet5(rng=0)
-        x = rng.standard_normal((2, 1, 32, 32))
-        y = m.forward(x)
-        assert y.shape == (2, 10)
-        dx = m.backward(rng.standard_normal(y.shape))
-        assert dx.shape == x.shape
-        assert np.isfinite(dx).all()
-
-    def test_googlenet_forward_backward_small_batch(self, rng):
-        m = googlenet(num_classes=10, rng=0)
-        x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32) * 0.1
-        y = m.forward(x)
-        assert y.shape == (1, 10)
-        dx = m.backward(rng.standard_normal(y.shape))
-        assert dx.shape == x.shape
-        assert np.isfinite(dx).all()
-
-    def test_models_deterministic_given_seed(self, rng):
-        a = lenet5(rng=7)
-        b = lenet5(rng=7)
-        x = rng.standard_normal((1, 1, 32, 32))
-        np.testing.assert_array_equal(a.forward(x), b.forward(x))

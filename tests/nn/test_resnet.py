@@ -1,42 +1,17 @@
 """Tests for the Add layer and the ResNet extension models."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn import Conv2d, ReLU
+from repro.nn import Conv2d
 from repro.nn.add import Add
-from repro.nn.batchnorm import BatchNorm2d
-from repro.nn.network import Graph
 from repro.nn.models.resnet import resnet18, resnet34
 
 
 class TestAddLayer:
-    def test_sums_inputs(self, rng):
-        xs = [rng.standard_normal((2, 3, 4, 4)) for _ in range(3)]
-        np.testing.assert_allclose(Add().forward(xs), xs[0] + xs[1] + xs[2])
-
-    def test_backward_fans_out_unchanged(self, rng):
-        add = Add()
-        xs = [rng.standard_normal((1, 2, 2, 2)) for _ in range(2)]
-        add.forward(xs)
-        dy = rng.standard_normal((1, 2, 2, 2))
-        grads = add.backward(dy)
-        assert len(grads) == 2
-        for g in grads:
-            np.testing.assert_array_equal(g, dy)
-
-    def test_does_not_mutate_inputs(self, rng):
-        xs = [rng.standard_normal((1, 1, 2, 2)) for _ in range(2)]
-        copies = [x.copy() for x in xs]
-        Add().forward(xs)
-        for x, c in zip(xs, copies):
-            np.testing.assert_array_equal(x, c)
-
-    def test_shape_mismatch_rejected(self, rng):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            Add().forward([rng.standard_normal((1, 1, 2, 2)),
-                           rng.standard_normal((1, 1, 3, 3))])
+            Add().output_shape([(1, 1, 2, 2), (1, 1, 3, 3)])
 
     def test_output_shape(self):
         assert Add().output_shape([(1, 2, 3, 3), (1, 2, 3, 3)]) == (1, 2, 3, 3)
@@ -44,51 +19,29 @@ class TestAddLayer:
             Add().output_shape([(1, 2, 3, 3), (1, 3, 3, 3)])
 
 
-class TestResidualGraph:
-    def test_identity_residual_gradient_accumulates(self, rng):
-        """d(x + f(x))/dx = 1 + f'(x): the input gradient carries both
-        the shortcut and the branch."""
-        g = Graph()
-        g.add("branch", ReLU())
-        g.add("merge", Add(), ["branch", "input"])
-        x = np.abs(rng.standard_normal((1, 2, 3, 3)))  # relu transparent
-        y = g.forward(x)
-        np.testing.assert_allclose(y, 2 * x)
-        dy = rng.standard_normal(y.shape)
-        dx = g.backward(dy)
-        np.testing.assert_allclose(dx, 2 * dy)
-
-
 class TestResNets:
     def test_canonical_parameter_counts(self):
-        assert 11.4e6 < resnet18(rng=0).parameter_count() < 12.0e6
-        assert 21.4e6 < resnet34(rng=0).parameter_count() < 22.2e6
+        assert 11.4e6 < resnet18().parameter_count() < 12.0e6
+        assert 21.4e6 < resnet34().parameter_count() < 22.2e6
 
     def test_output_shape(self):
-        m = resnet18(num_classes=10, rng=0)
+        m = resnet18(num_classes=10)
         assert m.output_shape((4, 3, 224, 224)) == (4, 10)
 
     def test_all_convs_are_small_kernels(self):
         """ResNet lives in the paper's small-kernel regime: everything
         is 7x7 (stem) or 3x3/1x1."""
-        m = resnet34(rng=0)
+        m = resnet34()
         ks = {l.kernel_size for l, _, _ in m.shape_walk((1, 3, 224, 224))
               if isinstance(l, Conv2d)}
         assert ks == {7, 3, 1}
-
-    def test_forward_backward_finite(self, rng):
-        m = resnet18(num_classes=4, rng=0)
-        x = rng.standard_normal((1, 3, 224, 224)).astype(np.float32) * 0.1
-        y = m.forward(x)
-        dx = m.backward(rng.standard_normal(y.shape))
-        assert np.isfinite(y).all() and np.isfinite(dx).all()
 
     def test_simulated_breakdown_conv_dominates(self):
         """Conv still dominates a simulated ResNet iteration, with
         BatchNorm visible — the extension composes with the Fig. 2
         machinery."""
         from repro.nn.simulate import breakdown_by_type, model_breakdown
-        m = resnet18(rng=0)
+        m = resnet18()
         shares = breakdown_by_type(model_breakdown(m, (64, 3, 224, 224)))
         assert shares["Conv"] > 0.7
         assert "BatchNorm" in shares and "Add" in shares

@@ -13,7 +13,7 @@ from repro.frameworks.registry import get_implementation
 class TestLayerTime:
     def test_conv_dominates_relu(self):
         impl = get_implementation("cudnn")
-        conv = Conv2d(64, 128, 3, rng=0)
+        conv = Conv2d(64, 128, 3)
         relu = ReLU()
         shape = (32, 64, 56, 56)
         out = conv.output_shape(shape)
@@ -27,7 +27,7 @@ class TestLayerTime:
 
     def test_fc_layer_timed_as_gemms(self):
         impl = get_implementation("cudnn")
-        t = layer_time(Linear(4096, 4096, rng=0), (128, 4096), (128, 4096),
+        t = layer_time(Linear(4096, 4096), (128, 4096), (128, 4096),
                        impl)
         assert t > 0
 
@@ -50,24 +50,24 @@ class TestLayerTime:
 
 class TestModelBreakdown:
     def test_lenet_breakdown_covers_all_layers(self):
-        m = lenet5(rng=0)
+        m = lenet5()
         costs = model_breakdown(m, (64, 1, 32, 32))
         assert len(costs) == len(m.layers)
         assert all(c.time_s >= 0 for c in costs)
 
     def test_shares_sum_to_one(self):
-        m = lenet5(rng=0)
+        m = lenet5()
         shares = breakdown_by_type(model_breakdown(m, (64, 1, 32, 32)))
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_conv_share_grows_with_depth(self):
-        shallow = Sequential(Conv2d(3, 8, 3, rng=0), ReLU())
+        shallow = Sequential(Conv2d(3, 8, 3), ReLU())
         costs = model_breakdown(shallow, (16, 3, 32, 32))
         shares = breakdown_by_type(costs)
         assert shares["Conv"] > 0.5
 
     def test_implementation_changes_conv_time(self):
-        m = lenet5(rng=0)
+        m = lenet5()
         fast = sum(c.time_s for c in
                    model_breakdown(m, (64, 1, 32, 32), "cudnn"))
         slow = sum(c.time_s for c in

@@ -115,6 +115,58 @@ class TestLoading:
         assert run.span_count() == 1
 
 
+
+def span_record(sid=1, parent=None, **fields):
+    rec = {"type": "span", "sid": sid, "parent": parent, "name": "a",
+           "cat": "serve", "start_s": 0.0, "end_s": 1.0, "attrs": {}}
+    rec.update(fields)
+    return json.dumps(rec)
+
+
+#: (malformed log lines, line the error names, what it says).
+MALFORMED = {
+    "event_without_name": (['{"type": "event"}'], 1,
+                           "event record missing 'name'"),
+    "string_start_s": ([span_record(start_s="x")], 1,
+                       "span field 'start_s' has the wrong type: 'x'"),
+    "list_sid": ([span_record(sid=[1])], 1,
+                 "span field 'sid' has the wrong type"),
+    "list_event_span": ([span_record(), json.dumps(
+        {"type": "event", "span": [1], "name": "x", "t_s": 0.0})], 2,
+        "event field 'span' has the wrong type"),
+    "list_attrs": ([span_record(attrs=[1])], 1,
+                   "span field 'attrs' has the wrong type"),
+    "own_parent": ([span_record(sid=1, parent=1)], 1,
+                   "span 1 is reached from no root"),
+    "mutual_parents": ([span_record(sid=1), span_record(sid=2, parent=3),
+                        span_record(sid=3, parent=2)], 2,
+                       "span 2 is reached from no root"),
+}
+
+
+class TestMalformedRecords:
+    """Every malformed log fails as one ``TraceSchemaError`` naming
+    ``file:line``, so ``repro analyze`` prints one error line."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_parse_raises_at_the_line(self, case):
+        lines, lineno, message = MALFORMED[case]
+        with pytest.raises(TraceSchemaError) as exc:
+            parse_jsonl(lines, source="log.jsonl")
+        assert str(exc.value).startswith(f"log.jsonl:{lineno}: {message}")
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_analyze_prints_one_error_line(self, case, tmp_path, capsys):
+        from repro.__main__ import main
+        lines, lineno, message = MALFORMED[case]
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"repro: error: {path}:{lineno}: {message}")
+
+
 class TestCriticalPath:
     def test_descends_into_dominant_child(self):
         run = from_tracer(small_tracer())

@@ -34,6 +34,25 @@ def small_config(**kwargs):
     return ServerConfig(**defaults)
 
 
+class TestTraceOrder:
+    """The loop serves the trace as given, so it must already be in
+    the ``(t_s, rid)`` order ``generate_trace`` emits."""
+
+    def test_two_swapped_arrivals_raise(self):
+        trace = arrivals([0.001 * i for i in range(6)])
+        trace[2], trace[3] = trace[3], trace[2]
+        with pytest.raises(ValueError,
+                           match=r"rid 2 \(t_s=0\.002\) follows rid 3 "):
+            Server(small_config()).run(trace)
+
+    def test_equal_times_order_by_rid(self):
+        trace = arrivals([0.0, 0.001, 0.001])
+        assert Server(small_config()).run(trace).completed == 3
+        trace[1], trace[2] = trace[2], trace[1]
+        with pytest.raises(ValueError, match="rid 1 .* follows rid 2 "):
+            Server(small_config()).run(trace)
+
+
 class TestClock:
     def test_completions_respect_causality(self):
         rep_server = Server(small_config())

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.errors import (AllocationError, ConvergenceError, DeviceOOMError,
-                          ProfilerError, ReproError, ShapeError,
-                          UnsupportedConfigError)
+from repro.errors import (AllocationError, DeviceOOMError, ProfilerError,
+                          ReproError, ShapeError, UnsupportedConfigError)
 
 
 def test_all_derive_from_repro_error():
     for exc in (ShapeError("x"), UnsupportedConfigError("impl", "why"),
                 DeviceOOMError(1, 2, 3), AllocationError("x"),
-                ProfilerError("x"), ConvergenceError("x")):
+                ProfilerError("x")):
         assert isinstance(exc, ReproError)
 
 

@@ -1,74 +1,6 @@
-"""End-to-end integration tests.
-
-These tie the whole stack together: the NN substrate trains a real
-LeNet-5 on the procedural digit workload; the analysis harness runs a
-full experiment end-to-end; and the three conv backends are swappable
-inside a training run without changing its result.
+"""End-to-end integration tests: the analysis harness runs a full
+experiment end-to-end, and the advisor answers from the whole stack.
 """
-
-import numpy as np
-import pytest
-
-from repro.nn import SGD, Trainer
-from repro.nn.models import lenet5
-from repro.workloads import DigitDataset
-
-
-@pytest.fixture(scope="module")
-def digits():
-    return DigitDataset.generate(train=384, test=96, rng=7)
-
-
-class TestLeNetTraining:
-    def test_lenet_learns_digits(self, digits):
-        """The headline integration check: LeNet-5 on procedural
-        digits reaches high accuracy within a few epochs."""
-        model = lenet5(rng=3)
-        trainer = Trainer(model, SGD(model.parameters(), lr=0.02,
-                                     momentum=0.9))
-        result = trainer.fit(digits.batches(32, epochs=6, rng=11))
-        # Loss must have collapsed ...
-        assert result.final_loss < 0.35
-        # ... and held-out accuracy must be far above the 10 % chance
-        # level.
-        _, test_acc = trainer.evaluate(digits.test_x, digits.test_y)
-        assert test_acc > 0.9
-
-    def test_training_is_reproducible(self, digits):
-        def run():
-            model = lenet5(rng=3)
-            trainer = Trainer(model, SGD(model.parameters(), lr=0.05,
-                                         momentum=0.9))
-            return trainer.fit(digits.batches(32, epochs=1, rng=11)).losses
-
-        assert run() == run()
-
-
-class TestBackendSwap:
-    """Swapping the convolution backend changes speed, never results —
-    the premise of the whole comparison study."""
-
-    def test_backends_agree_through_lenet(self, digits):
-        x = digits.train_x[:8]
-        outputs = []
-        for backend in (None, "direct", "fft"):
-            model = lenet5(rng=3, backend=backend)
-            outputs.append(model.forward(x))
-        np.testing.assert_allclose(outputs[0], outputs[1], rtol=1e-8,
-                                   atol=1e-8)
-        # NumPy >= 2 computes single-precision FFTs for float32 input
-        # (as the real fp32 frameworks did), so the FFT path agrees to
-        # fp32 accuracy.
-        np.testing.assert_allclose(outputs[0], outputs[2], rtol=1e-4,
-                                   atol=1e-5)
-
-    def test_framework_backend_through_lenet(self, digits):
-        x = digits.train_x[:32]  # cuda-convnet2 needs batch % 32
-        ref = lenet5(rng=3).forward(x)
-        # cuDNN adapter (unrolling) should match bit-for-bit; fbfft to
-        # fp tolerance.
-        got = lenet5(rng=3, backend="cudnn").forward(x)
-        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10)
 
 
 class TestHarnessEndToEnd:

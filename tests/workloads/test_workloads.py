@@ -1,85 +1,6 @@
-"""Tests for the synthetic workload generators."""
+"""Tests for the dataset descriptors."""
 
-import numpy as np
-import pytest
-
-from repro.config import BASE_CONFIG
-from repro.errors import ShapeError
-from repro.workloads import (CIFAR10, DATASETS, IMAGENET, MNIST,
-                             DigitDataset, batch_stream, conv_tensors,
-                             digit_image, make_digits, random_batch)
-from repro.workloads.digits import digit_glyph
-
-
-class TestConvTensors:
-    def test_shapes_follow_config(self):
-        x, w, b = conv_tensors(BASE_CONFIG, rng=0)
-        assert x.shape == BASE_CONFIG.input_shape
-        assert w.shape == BASE_CONFIG.weight_shape
-        assert b.shape == (BASE_CONFIG.filters,)
-
-    def test_dtype_default_float32(self):
-        x, w, b = conv_tensors(BASE_CONFIG, rng=0)
-        assert x.dtype == np.float32 and w.dtype == np.float32
-
-    def test_deterministic(self):
-        x1, _, _ = conv_tensors(BASE_CONFIG, rng=5)
-        x2, _, _ = conv_tensors(BASE_CONFIG, rng=5)
-        np.testing.assert_array_equal(x1, x2)
-
-
-class TestRandomBatch:
-    def test_shapes_and_labels(self):
-        x, y = random_batch(8, 3, 16, classes=5, rng=0)
-        assert x.shape == (8, 3, 16, 16)
-        assert y.shape == (8,)
-        assert y.min() >= 0 and y.max() < 5
-
-    def test_validation(self):
-        with pytest.raises(ShapeError):
-            random_batch(0, 3, 16)
-
-    def test_stream_length(self):
-        batches = list(batch_stream(5, 4, 1, 8, rng=0))
-        assert len(batches) == 5
-
-
-class TestDigits:
-    def test_all_glyphs_distinct(self):
-        glyphs = [digit_glyph(d).tobytes() for d in range(10)]
-        assert len(set(glyphs)) == 10
-
-    def test_glyph_validation(self):
-        with pytest.raises(ShapeError):
-            digit_glyph(10)
-
-    def test_image_shape_and_noise(self):
-        img = digit_image(3, rng=0)
-        assert img.shape == (1, 32, 32)
-        assert img.dtype == np.float32
-        assert img.std() > 0.05
-
-    def test_same_digit_varies(self):
-        rng = np.random.default_rng(0)
-        a = digit_image(7, rng)
-        b = digit_image(7, rng)
-        assert not np.array_equal(a, b)
-
-    def test_make_digits_labels(self):
-        x, y = make_digits(32, rng=0)
-        assert x.shape == (32, 1, 32, 32)
-        assert set(np.unique(y)) <= set(range(10))
-
-    def test_dataset_batches(self):
-        ds = DigitDataset.generate(train=64, test=16, rng=0)
-        batches = list(ds.batches(16, epochs=2, rng=0))
-        assert len(batches) == 8
-        for x, y in batches:
-            assert x.shape == (16, 1, 32, 32)
-
-    def test_canvas_too_small(self):
-        with pytest.raises(ShapeError):
-            digit_image(1, rng=0, size=8)
+from repro.workloads import CIFAR10, DATASETS, IMAGENET, MNIST
 
 
 class TestDatasets:
@@ -92,11 +13,6 @@ class TestDatasets:
     def test_epoch_iterations(self):
         assert MNIST.epoch_iterations(100) == 600
         assert CIFAR10.epoch_iterations(128) == 391
-
-    def test_synthetic_batch_geometry(self):
-        x, y = CIFAR10.synthetic_batch(16, rng=0)
-        assert x.shape == (16, 3, 32, 32)
-        assert y.max() < 10
 
     def test_registry(self):
         assert set(DATASETS) == {"MNIST", "CIFAR-10", "ImageNet"}
