@@ -63,7 +63,7 @@ def run_benchmark(repeats: int = 5, duration_s: float = 1.0,
                   rate_rps: float = 1500.0) -> dict:
     """Measure untraced vs traced serving; returns the artifact payload."""
     from repro.core.evalcache import reset_cache
-    from repro.obs.analyze import analyze_run, from_tracer
+    from repro.obs.analyze import analyze_run
     from repro.obs.export import jsonl_lines
     from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
 
@@ -104,7 +104,7 @@ def run_benchmark(repeats: int = 5, duration_s: float = 1.0,
     lines = jsonl_lines(tracer)
     export_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    analysis = analyze_run(from_tracer(tracer))
+    analysis = analyze_run(tracer)
     analyze_s = time.perf_counter() - t0
 
     return {

@@ -656,12 +656,11 @@ def cmd_cluster(args) -> int:
     report = cluster.run(trace)
 
     if args.trace:
-        from .obs.export import (write_cluster_chrome_trace,
-                                 write_cluster_jsonl)
+        from .obs.export import write_cluster_chrome_trace, write_jsonl
 
         if args.trace.endswith(".jsonl"):
-            n = write_cluster_jsonl(args.trace, cluster.obs.tracer,
-                                    cluster.replica_tracers)
+            n = write_jsonl(args.trace, cluster.obs.tracer,
+                            *(t for _, t in cluster.replica_tracers))
             print(f"wrote {n} trace records to {args.trace}",
                   file=sys.stderr)
         else:
@@ -804,7 +803,7 @@ def cmd_analyze(args) -> int:
     import json
 
     from .obs.analyze import analyze_run, load_jsonl
-    from .obs.diff import diff_traces
+    from .obs.diff import diff_runs
 
     if args.hotspots_host:
         print(_host_hotspots(args.top))
@@ -816,8 +815,8 @@ def cmd_analyze(args) -> int:
         analysis = analyze_run(load_jsonl(args.trace))
         diff = None
         if args.baseline:
-            diff = diff_traces(load_jsonl(args.baseline),
-                               load_jsonl(args.trace))
+            diff = diff_runs(analyze_run(load_jsonl(args.baseline)),
+                             analysis)
     except OSError as exc:
         raise ValueError(str(exc)) from exc
     if args.json:

@@ -89,11 +89,11 @@ class Replica:
                              fault_plan=fault_plan, fault_seed=fault_seed,
                              obs=obs)
         if tracing:
-            tracer = SimTracer(self.server.clock,
-                               first_sid=REPLICA_SID_STRIDE * (index + 1))
-            if trace_sample > 1:
-                tracer = TraceSampler(tracer, trace_sample)
-            obs.tracer = tracer
+            first_sid = REPLICA_SID_STRIDE * (index + 1)
+            obs.tracer = (TraceSampler(self.server.clock, trace_sample,
+                                       first_sid=first_sid)
+                          if trace_sample > 1 else
+                          SimTracer(self.server.clock, first_sid=first_sid))
         self.tracer = obs.tracer
         self.alive = True
         self.draining = False

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import ShapeError
 from .common import add_bias, check_conv_args
-from .gemm import gemm
 from .im2col import col2im, im2col
 
 

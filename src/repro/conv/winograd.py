@@ -25,7 +25,6 @@ before dedicated Winograd gradient kernels existed.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 

@@ -22,11 +22,11 @@ the delta — exercised by ``benchmarks/bench_ablations.py``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..config import BASE_CONFIG, ConvConfig
-from ..frameworks.calibration import DIRECT_CALIBRATION, FFT_CALIBRATION
-from ..frameworks.fft_model import iteration_workload, transform_size
+from ..frameworks.calibration import FFT_CALIBRATION
+from ..frameworks.fft_model import transform_size
 from ..frameworks.registry import get_implementation
 from ..gpusim.device import K40C
 from ..gpusim.transfer import TransferEngine, exposed_transfer_time

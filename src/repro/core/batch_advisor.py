@@ -10,7 +10,7 @@ fbfft users of the era trained with smaller batches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..config import ConvConfig
 from ..errors import DeviceOOMError

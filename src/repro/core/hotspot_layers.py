@@ -8,7 +8,7 @@ simulated runs, "to investigate where hotspot layers are".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..gpusim.device import DeviceSpec, K40C
 from ..nn.models import FIG2_MODELS

@@ -6,7 +6,7 @@ these helpers keep the formatting in one place.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "",

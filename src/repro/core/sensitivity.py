@@ -19,9 +19,9 @@ robust and which flip:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..config import BASE_CONFIG, ConvConfig, sweep_configs
+from ..config import BASE_CONFIG, sweep_configs
 from ..frameworks.registry import all_implementations, get_implementation
 from ..gpusim.device import K20X, K40C, M40, TITAN_X, DeviceSpec
 from .evalcache import evaluate, evaluate_fitting

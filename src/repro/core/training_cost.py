@@ -11,9 +11,8 @@ K40c — and how the choice of convolution implementation moves it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..errors import ShapeError
 from ..gpusim.device import DeviceSpec, K40C

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.hist import percentile, summarize
 from ..obs.slo import SLOReport, SLORule, evaluate_slo
-from ..serve.loadgen import MODEL_SHAPES, Arrival, TrafficSpec, generate_trace
+from ..serve.loadgen import Arrival, TrafficSpec, generate_trace
 from ..serve.scheduler import ServerConfig
 from .registry import get_profile
 

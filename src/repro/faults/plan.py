@@ -35,7 +35,7 @@ RNG, so a serving run stays a pure function of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 #: Wildcard target: the fault may strike any implementation.

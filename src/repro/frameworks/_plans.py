@@ -9,12 +9,6 @@ Fig. 4 kernel plans from these.
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Tuple
-
-from ..gpusim.banks import SharedAccess
-from ..gpusim.coalescing import WarpAccess
-from ..gpusim.divergence import DivergenceProfile
 from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig, grid_for
 from .calibration import (
     ACCESS_PATTERNS,

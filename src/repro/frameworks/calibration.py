@@ -19,12 +19,11 @@ magic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
 
 from ..gpusim.banks import SharedAccess
 from ..gpusim.coalescing import WarpAccess
-from ..gpusim.divergence import DivergenceProfile, UNIFORM
+from ..gpusim.divergence import DivergenceProfile
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig, grid_for
 from ._plans import gemm_spec, pointwise_spec
 from .base import ConvImplementation, Strategy
 from .calibration import (ACCESS_PATTERNS, DIVERGENCE, GEMM_CALIBRATION,
-                          ITEMSIZE, SHARED_PATTERNS, TABLE2_RESOURCES)
+                          ITEMSIZE, TABLE2_RESOURCES)
 
 
 class CuDNN(ConvImplementation):

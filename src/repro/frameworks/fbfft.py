@@ -25,8 +25,7 @@ from ..conv import fftconv
 from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig
 from ._plans import fft_spec, gemm_spec, transpose_spec
 from .base import ConvImplementation, Strategy
-from .calibration import (COMPLEX_ITEMSIZE, FBFFT_CGEMM, FFT_CALIBRATION,
-                          TABLE2_RESOURCES)
+from .calibration import FBFFT_CGEMM, FFT_CALIBRATION, TABLE2_RESOURCES
 from .fft_model import iteration_workload
 
 #: fbfft pre-allocates a buffer pool for spectra and cuFFT-free plans;

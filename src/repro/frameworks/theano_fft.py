@@ -28,7 +28,7 @@ from typing import List, Tuple
 from ..config import ConvConfig
 from ..conv import fftconv
 from ..gpusim.kernels import KernelRole, KernelSpec, LaunchConfig, grid_for
-from ._plans import fft_spec, gemm_spec, pointwise_spec, transpose_spec
+from ._plans import fft_spec, gemm_spec, transpose_spec
 from .base import ConvImplementation, Strategy
 from .calibration import (ACCESS_PATTERNS, DIVERGENCE, FFT_CALIBRATION,
                           ITEMSIZE, SHARED_PATTERNS, TABLE2_RESOURCES,

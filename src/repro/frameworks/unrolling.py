@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from ..config import ConvConfig
 from ..conv import unrolled
 from ..gpusim.kernels import KernelSpec

@@ -14,9 +14,9 @@ paper's Fig. 4 does (``sgemm``, ``im2col_gpu_kernel``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .coalescing import WarpAccess, COALESCED_FLOAT
 from .banks import SharedAccess

@@ -11,7 +11,7 @@ implements exactly that aggregation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 #: The five metrics (and IPC) of Fig. 6, in the paper's order.
 METRIC_NAMES = (

@@ -19,9 +19,7 @@ first-order machinery as the rest of the simulator:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ShapeError
 from .device import DeviceSpec, K40C

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .device import DeviceSpec, K40C
+from .device import DeviceSpec
 from .timing import KernelTiming
 
 

@@ -12,8 +12,6 @@ Provided as an *extension* (not part of the Fig. 2 reproduction set):
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from ..add import Add
 from ..batchnorm import BatchNorm2d
 from ..conv_layer import Conv2d

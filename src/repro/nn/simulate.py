@@ -25,11 +25,8 @@ so a model breakdown lands on the same timeline the serving spans use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from ..config import ConvConfig
 from ..core.evalcache import evaluate
 from ..errors import ShapeError
 from ..frameworks.base import ConvImplementation

@@ -15,7 +15,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.report import table
-from .module import Layer
 
 
 def _shape_str(shape) -> str:

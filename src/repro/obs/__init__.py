@@ -21,8 +21,9 @@ every layer at once:
 * :mod:`repro.obs.hist` — the one shared implementation of the
   percentile / summary math;
 * :mod:`repro.obs.analyze` — offline trace analytics: load a saved
-  JSONL log (or a live tracer), compute critical paths, self-time
-  aggregates and the Fig-4-style hotspot table per implementation;
+  JSONL log back into a tracer's span forest (or read a live one) and,
+  in one walk, compute critical paths, self-time aggregates and the
+  Fig-4-style hotspot table per implementation;
 * :mod:`repro.obs.diff` — run-to-run regression attribution: align
   two traces by span path and rank "what got slower and why";
 * :mod:`repro.obs.slo` — declarative SLOs (p99 latency, shed rate,

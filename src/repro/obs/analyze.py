@@ -3,10 +3,11 @@
 The source paper's figures are not timelines — they are conclusions
 *derived from* timelines (runtime shares per kernel group, crossover
 points, transfer fractions).  This module is the same derivation step
-for the repo's own traces: it consumes a span tree recorded by
-:class:`~repro.obs.tracer.SimTracer` — live, or reloaded from the
-JSONL event log :func:`~repro.obs.export.write_jsonl` wrote, so
-analysis works offline on saved artifacts — and produces:
+for the repo's own traces: it consumes the span forest of a
+:class:`~repro.obs.tracer.SimTracer` — live, or reloaded by
+:func:`load_jsonl` from the JSONL event log
+:func:`~repro.obs.export.write_jsonl` wrote, so analysis works offline
+on saved artifacts — and, in one walk of that forest, produces:
 
 * the **critical path** per root span: the longest serial descent,
   each step with its self-time (the nvprof "where did the time go"
@@ -30,93 +31,16 @@ and the ``trace-smoke`` CI gate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TraceSchemaError
-from .export import SCHEMA_VERSION, SUPPORTED_SCHEMA_VERSIONS
-from .tracer import SimTracer
+from .export import SUPPORTED_SCHEMA_VERSIONS
+from .tracer import SimTracer, Span, SpanEvent
 
 #: Span names whose attrs identify the implementation running beneath
 #: them (dispatch spans); kernel leaves inherit this label.
 _IMPL_ATTR = "implementation"
-
-
-@dataclass
-class TraceEvent:
-    """A point-in-time event reloaded from a trace."""
-
-    name: str
-    t_s: float
-    attrs: Dict[str, object]
-
-
-@dataclass
-class TraceSpan:
-    """One span reloaded from (or adapted out of) a trace.
-
-    The offline twin of :class:`repro.obs.tracer.Span`: same fields,
-    no tracer or clock attached, children linked by the loader.
-    """
-
-    sid: int
-    parent: Optional[int]
-    name: str
-    cat: str
-    start_s: float
-    end_s: float
-    attrs: Dict[str, object]
-    children: List["TraceSpan"] = field(default_factory=list)
-    events: List[TraceEvent] = field(default_factory=list)
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    @property
-    def self_s(self) -> float:
-        """Time spent in this span but not in any child."""
-        return self.duration_s - sum(c.duration_s for c in self.children)
-
-
-class TraceRun:
-    """A loaded span forest: the unit every analysis consumes."""
-
-    def __init__(self, roots: List[TraceSpan],
-                 orphan_events: List[TraceEvent],
-                 schema_version: int = SCHEMA_VERSION,
-                 source: str = "<memory>"):
-        self.roots = roots
-        self.orphan_events = orphan_events
-        self.schema_version = schema_version
-        self.source = source
-
-    def walk(self):
-        """Yield every span depth-first, roots in order."""
-        def visit(span: TraceSpan):
-            yield span
-            for child in span.children:
-                yield from visit(child)
-        for root in self.roots:
-            yield from visit(root)
-
-    def find(self, name: str) -> List[TraceSpan]:
-        return [s for s in self.walk() if s.name == name]
-
-    def span_count(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    @property
-    def duration_s(self) -> float:
-        """Wall (simulated) extent of the forest."""
-        if not self.roots:
-            return 0.0
-        return (max(r.end_s for r in self.roots)
-                - min(r.start_s for r in self.roots))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"TraceRun({self.span_count()} spans, "
-                f"{self.duration_s:.6f}s, source={self.source!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +80,12 @@ def _fields(rec: dict, where: str) -> dict:
     return out
 
 
-def from_tracer(tracer: SimTracer) -> TraceRun:
-    """Adapt a live tracer's span forest without re-serialising."""
-    nodes: Dict[int, TraceSpan] = {}
-    roots: List[TraceSpan] = []
-    for span in tracer.walk():
-        node = TraceSpan(sid=span.sid, parent=span.parent_sid,
-                         name=span.name, cat=span.cat,
-                         start_s=span.start_s,
-                         end_s=span.end_s if span.end_s is not None else span.start_s,
-                         attrs=dict(span.attrs),
-                         events=[TraceEvent(e.name, e.t_s, dict(e.attrs))
-                                 for e in span.events])
-        nodes[node.sid] = node
-        parent = nodes.get(node.parent) if node.parent is not None else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
-    orphans = [TraceEvent(e.name, e.t_s, dict(e.attrs))
-               for e in tracer.orphan_events]
-    return TraceRun(roots, orphans, source="<tracer>")
+def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> SimTracer:
+    """Rebuild a tracer's span forest from JSONL event-log lines.
 
-
-def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
-    """Rebuild a span forest from JSONL event-log lines.
+    Each span keeps its recorded sid and parent, and the tracer's
+    :attr:`~repro.obs.tracer.SimTracer.source` is ``source``; its clock
+    is ``None``, since a reloaded trace is read, not recorded into.
 
     The first record may be a ``header`` carrying ``schema_version``
     (logs written before versioning are treated as version 1); an
@@ -190,7 +95,6 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
     span that no root reaches (its parent chain loops), each naming
     ``source:line``.
     """
-    version = SCHEMA_VERSION
     records = []
     for i, line in enumerate(lines):
         line = line.strip()
@@ -206,35 +110,34 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
                 f"{source}:{i + 1}: record has no 'type' field")
         records.append((i + 1, rec))
     if records and records[0][1]["type"] == "header":
-        header = records.pop(0)[1]
-        version = header.get("schema_version")
+        version = records.pop(0)[1].get("schema_version")
         if version not in SUPPORTED_SCHEMA_VERSIONS:
             raise TraceSchemaError(
                 f"{source}: unsupported trace schema_version {version!r} "
                 f"(supported: {list(SUPPORTED_SCHEMA_VERSIONS)})")
 
-    nodes: Dict[int, TraceSpan] = {}
-    orphans: List[TraceEvent] = []
-    pending_events: List[Tuple[int, int, TraceEvent]] = []
-    order: List[Tuple[int, TraceSpan]] = []
+    tracer = SimTracer(clock=None)
+    tracer.source = source
+    nodes: Dict[int, Span] = {}
+    order: List[Tuple[int, Span]] = []
+    pending_events: List[Tuple[int, int, SpanEvent]] = []
     for lineno, rec in records:
         kind = rec["type"]
         if kind == "span":
             f = _fields(rec, f"{source}:{lineno}")
-            node = TraceSpan(sid=f["sid"], parent=f["parent"],
-                             name=f["name"], cat=f["cat"],
-                             start_s=f["start_s"], end_s=f["end_s"],
-                             attrs=dict(f["attrs"] or {}))
-            if node.sid in nodes:
+            span = Span(tracer, f["name"], f["cat"], dict(f["attrs"] or {}))
+            span.sid, span.parent_sid = f["sid"], f["parent"]
+            span.start_s, span.end_s = f["start_s"], f["end_s"]
+            if span.sid in nodes:
                 raise TraceSchemaError(
-                    f"{source}:{lineno}: duplicate span sid {node.sid}")
-            nodes[node.sid] = node
-            order.append((lineno, node))
+                    f"{source}:{lineno}: duplicate span sid {span.sid}")
+            nodes[span.sid] = span
+            order.append((lineno, span))
         elif kind == "event":
             f = _fields(rec, f"{source}:{lineno}")
-            ev = TraceEvent(f["name"], f["t_s"], dict(f["attrs"] or {}))
+            ev = SpanEvent(f["name"], f["t_s"], dict(f["attrs"] or {}))
             if f["span"] is None:
-                orphans.append(ev)
+                tracer.orphan_events.append(ev)
             else:
                 pending_events.append((lineno, f["span"], ev))
         elif kind == "header":
@@ -243,23 +146,14 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
         else:
             raise TraceSchemaError(
                 f"{source}:{lineno}: unknown record type {kind!r}")
-    roots: List[TraceSpan] = []
-    for _, node in order:
-        parent = nodes.get(node.parent) if node.parent is not None else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
-    reached = set()
-    stack = list(roots)
-    while stack:
-        span = stack.pop()
-        reached.add(span.sid)
-        stack.extend(span.children)
-    for lineno, node in order:
-        if node.sid not in reached:
+    for _, span in order:
+        parent = nodes.get(span.parent_sid)
+        (tracer.roots if parent is None else parent.children).append(span)
+    reached = {span.sid for span in tracer.walk()}
+    for lineno, span in order:
+        if span.sid not in reached:
             raise TraceSchemaError(
-                f"{source}:{lineno}: span {node.sid} is reached from no "
+                f"{source}:{lineno}: span {span.sid} is reached from no "
                 f"root (its parent chain loops)")
     for lineno, sid, ev in pending_events:
         span = nodes.get(sid)
@@ -267,10 +161,10 @@ def parse_jsonl(lines: Sequence[str], source: str = "<memory>") -> TraceRun:
             raise TraceSchemaError(
                 f"{source}:{lineno}: event references unknown span {sid}")
         span.events.append(ev)
-    return TraceRun(roots, orphans, schema_version=version, source=source)
+    return tracer
 
 
-def load_jsonl(path: str) -> TraceRun:
+def load_jsonl(path: str) -> SimTracer:
     """Load a saved JSONL event log (``repro trace --out x.jsonl``)."""
     with open(path) as fh:
         return parse_jsonl(fh.readlines(), source=path)
@@ -291,7 +185,7 @@ class PathStep:
     self_s: float
 
 
-def critical_path(root: TraceSpan) -> List[PathStep]:
+def critical_path(root: Span) -> List[PathStep]:
     """The longest serial descent from ``root``.
 
     At each level the child with the largest duration is followed
@@ -300,7 +194,7 @@ def critical_path(root: TraceSpan) -> List[PathStep]:
     into whatever dominated it.
     """
     steps: List[PathStep] = []
-    node: Optional[TraceSpan] = root
+    node: Optional[Span] = root
     depth = 0
     while node is not None:
         steps.append(PathStep(name=node.name, cat=node.cat, depth=depth,
@@ -332,47 +226,33 @@ class SpanStat:
         return self.total_s / self.count if self.count else 0.0
 
 
-def span_aggregates(run: TraceRun) -> List[SpanStat]:
+@dataclass(frozen=True)
+class PathStat:
+    """Totals of one span path (see :attr:`TraceAnalysis.paths`)."""
+
+    count: int
+    total_s: float
+    self_s: float
+
+
+def span_aggregates(tracer: SimTracer) -> List[SpanStat]:
     """Self-time vs total-time per ``(name, cat)``, longest first."""
-    acc: Dict[Tuple[str, str], List[float]] = {}
-    for span in run.walk():
-        key = (span.name, span.cat)
-        row = acc.setdefault(key, [0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += span.duration_s
-        row[2] += span.self_s
-    stats = [SpanStat(name=name, cat=cat, count=int(c), total_s=t, self_s=s)
-             for (name, cat), (c, t, s) in acc.items()]
-    stats.sort(key=lambda st: (-st.total_s, st.name))
-    return stats
+    return list(analyze_run(tracer).aggregates)
 
 
 # ---------------------------------------------------------------------------
 # hotspot attribution (Fig. 4 over a trace)
 # ---------------------------------------------------------------------------
 
-def hotspot_table(run: TraceRun) -> Dict[str, Dict[str, float]]:
+def hotspot_table(tracer: SimTracer) -> Dict[str, Dict[str, float]]:
     """GPU-leaf time per implementation per kernel role.
 
-    Walks the tree carrying the innermost ``implementation`` attribute
-    (set by dispatch spans) so each gpusim leaf is attributed to the
+    Each gpusim leaf is attributed to the innermost ``implementation``
+    attribute above it (set by dispatch spans), i.e. the
     implementation that launched it.  Leaves outside any dispatch land
     under ``"(unattributed)"``.
     """
-    table: Dict[str, Dict[str, float]] = {}
-
-    def visit(span: TraceSpan, impl: str) -> None:
-        impl = str(span.attrs.get(_IMPL_ATTR, impl))
-        if span.cat == "gpu":
-            role = str(span.attrs.get("role", "other"))
-            roles = table.setdefault(impl, {})
-            roles[role] = roles.get(role, 0.0) + span.duration_s
-        for child in span.children:
-            visit(child, impl)
-
-    for root in run.roots:
-        visit(root, "(unattributed)")
-    return table
+    return analyze_run(tracer).hotspots
 
 
 def hotspot_shares(table: Dict[str, Dict[str, float]]
@@ -411,26 +291,25 @@ def reconcile_hotspots(table: Dict[str, Dict[str, float]]) -> dict:
 # fault census
 # ---------------------------------------------------------------------------
 
-def fault_census(run: TraceRun) -> Tuple[Dict[str, int], float]:
+def fault_census(tracer: SimTracer) -> Tuple[Dict[str, int], float]:
     """Event counts by name, plus simulated seconds attributable to
     fault handling: ECC replay costs, retry backoff, and straggler
     drag (the slowdown-inflated fraction of each hit dispatch)."""
-    counts: Dict[str, int] = {}
-    fault_time = 0.0
-    for span in run.walk():
-        for ev in span.events:
-            counts[ev.name] = counts.get(ev.name, 0) + 1
-            if ev.name == "fault.transient":
-                fault_time += float(ev.attrs.get("retry_cost_s", 0.0))
-            elif ev.name == "retry.backoff":
-                fault_time += float(ev.attrs.get("backoff_s", 0.0))
-            elif ev.name == "fault.straggler":
-                slowdown = float(ev.attrs.get("slowdown", 1.0))
-                if slowdown > 1.0:
-                    fault_time += span.duration_s * (1.0 - 1.0 / slowdown)
-    for ev in run.orphan_events:
-        counts[ev.name] = counts.get(ev.name, 0) + 1
-    return counts, fault_time
+    analysis = analyze_run(tracer)
+    return analysis.events, analysis.fault_time_s
+
+
+def _fault_cost(ev: SpanEvent, span: Span) -> Optional[float]:
+    """Simulated seconds one event's fault handling cost, or None."""
+    if ev.name == "fault.transient":
+        return float(ev.attrs.get("retry_cost_s", 0.0))
+    if ev.name == "retry.backoff":
+        return float(ev.attrs.get("backoff_s", 0.0))
+    if ev.name == "fault.straggler":
+        slowdown = float(ev.attrs.get("slowdown", 1.0))
+        if slowdown > 1.0:
+            return span.duration_s * (1.0 - 1.0 / slowdown)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +332,10 @@ class TraceAnalysis:
     fault_time_s: float
     plan_lookups: Dict[str, int]                # hits / misses
     batches: Dict[str, float]                   # count / mean_batch / mean_fill
+    # What :mod:`repro.obs.diff` aligns two runs by; not printed.
+    paths: Dict[str, PathStat]                  # span path -> totals
+    launches: Dict[str, Dict[str, int]]         # impl -> role -> leaves
+    arrivals: int                               # summed over the roots
 
     def to_dict(self) -> dict:
         """JSON-ready, deterministically ordered form."""
@@ -532,34 +415,81 @@ class TraceAnalysis:
         return "\n".join(lines)
 
 
-def analyze_run(run: TraceRun) -> TraceAnalysis:
-    """Derive the full analysis from one loaded trace."""
-    table = hotspot_table(run)
-    events, fault_time = fault_census(run)
-    plans = run.find("serve.plan")
-    hits = sum(1 for p in plans if p.attrs.get("hit"))
-    batch_spans = run.find("serve.batch")
-    batch_sizes = [float(b.attrs.get("batch", 0)) for b in batch_spans]
-    batch_fills = [float(b.attrs.get("fill", 0)) for b in batch_spans]
-    longest_root = max(run.roots, key=lambda r: (r.duration_s, -r.start_s),
+def analyze_run(tracer: SimTracer) -> TraceAnalysis:
+    """Derive the full analysis from one live or reloaded tracer, in
+    one walk of its span forest."""
+    aggregates: Dict[Tuple[str, str], List[float]] = {}
+    paths: Dict[str, List[float]] = {}
+    hotspots: Dict[str, Dict[str, float]] = {}
+    launches: Dict[str, Dict[str, int]] = {}
+    events: Dict[str, int] = {}
+    fault_time = 0.0
+    plans = hits = 0
+    sizes: List[float] = []
+    fills: List[float] = []
+    span_count = 0
+    #: sid -> (span path, innermost implementation) of each parent.
+    context: Dict[int, Tuple[str, str]] = {}
+    for span in tracer.walk():
+        span_count += 1
+        prefix, impl = context.get(span.parent_sid, ("", "(unattributed)"))
+        label = span.attrs.get(_IMPL_ATTR)
+        label = span.name if label is None else f"{span.name}[{label}]"
+        path = f"{prefix}/{label}" if prefix else label
+        impl = str(span.attrs.get(_IMPL_ATTR, impl))
+        if span.children:
+            context[span.sid] = (path, impl)
+        duration, self_s = span.duration_s, span.self_s
+        for row in (aggregates.setdefault((span.name, span.cat),
+                                          [0, 0.0, 0.0]),
+                    paths.setdefault(path, [0, 0.0, 0.0])):
+            row[0] += 1
+            row[1] += duration
+            row[2] += self_s
+        if span.cat == "gpu":
+            role = str(span.attrs.get("role", "other"))
+            roles = hotspots.setdefault(impl, {})
+            roles[role] = roles.get(role, 0.0) + duration
+            counts = launches.setdefault(impl, {})
+            counts[role] = counts.get(role, 0) + 1
+        for ev in span.events:
+            events[ev.name] = events.get(ev.name, 0) + 1
+            cost = _fault_cost(ev, span)
+            if cost is not None:
+                fault_time += cost
+        if span.name == "serve.plan":
+            plans += 1
+            hits += bool(span.attrs.get("hit"))
+        elif span.name == "serve.batch":
+            sizes.append(float(span.attrs.get("batch", 0)))
+            fills.append(float(span.attrs.get("fill", 0)))
+    for ev in tracer.orphan_events:
+        events[ev.name] = events.get(ev.name, 0) + 1
+
+    roots = tracer.roots
+    stats = [SpanStat(name=name, cat=cat, count=int(c), total_s=t, self_s=s)
+             for (name, cat), (c, t, s) in aggregates.items()]
+    stats.sort(key=lambda st: (-st.total_s, st.name))
+    longest_root = max(roots, key=lambda r: (r.duration_s, -r.start_s),
                        default=None)
     return TraceAnalysis(
-        source=run.source,
-        span_count=run.span_count(),
-        duration_s=run.duration_s,
-        aggregates=tuple(span_aggregates(run)),
+        source=tracer.source,
+        span_count=span_count,
+        duration_s=(max(r.end_s for r in roots)
+                    - min(r.start_s for r in roots)) if roots else 0.0,
+        aggregates=tuple(stats),
         critical=tuple(critical_path(longest_root))
         if longest_root is not None else (),
-        hotspots=table,
-        shares=hotspot_shares(table),
-        reconciliation=reconcile_hotspots(table),
+        hotspots=hotspots,
+        shares=hotspot_shares(hotspots),
+        reconciliation=reconcile_hotspots(hotspots),
         events=events,
         fault_time_s=fault_time,
-        plan_lookups={"hits": hits, "misses": len(plans) - hits}
-        if plans else {},
-        batches={"count": float(len(batch_spans)),
-                 "mean_batch": (sum(batch_sizes) / len(batch_sizes)
-                                if batch_sizes else 0.0),
-                 "mean_fill": (sum(batch_fills) / len(batch_fills)
-                               if batch_fills else 0.0)},
+        plan_lookups={"hits": hits, "misses": plans - hits} if plans else {},
+        batches={"count": float(len(sizes)),
+                 "mean_batch": sum(sizes) / len(sizes) if sizes else 0.0,
+                 "mean_fill": sum(fills) / len(fills) if fills else 0.0},
+        paths={k: PathStat(int(c), t, s) for k, (c, t, s) in paths.items()},
+        launches=launches,
+        arrivals=sum(int(r.attrs.get("arrivals", 0)) for r in roots),
     )

@@ -21,8 +21,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-from .metrics import MetricsRegistry, NULL_REGISTRY, NullRegistry
-from .tracer import NULL_TRACER, NullTracer, SimTracer
+from .metrics import MetricsRegistry, NULL_REGISTRY
+from .tracer import NULL_TRACER
 
 
 class Observability:

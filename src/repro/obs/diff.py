@@ -12,8 +12,8 @@ total-time and self-time deltas; on top of the raw deltas it ranks
 
 * **fault_injections** — fault events present in the candidate but
   not the baseline, weighted by the simulated time they cost (ECC
-  replay + backoff + straggler drag, from
-  :func:`repro.obs.analyze.fault_census`);
+  replay + backoff + straggler drag, as
+  :func:`repro.obs.analyze.fault_census` counts it);
 * **plan_cache_misses** — extra advisor rankings the candidate paid
   for, weighted by the advisor-span time delta;
 * **batch_size_shift** — the batcher formed differently sized batches
@@ -23,100 +23,26 @@ total-time and self-time deltas; on top of the raw deltas it ranks
 * **workload_change** — the two traces do not even serve the same
   offered load (deltas are then descriptive, not regressions).
 
-Everything is a pure function of the two traces: same pair in,
-byte-identical report out.  A same-seed pair produces zero deltas and
-zero findings — the ``repro analyze --baseline`` CI check.
+Both sides are :class:`~repro.obs.analyze.TraceAnalysis` values: the
+one walk that :func:`~repro.obs.analyze.analyze_run` makes of each
+trace also collects the span paths and per-(implementation, role)
+launch counts the alignment needs.  Everything is a pure function of
+the two traces: same pair in, byte-identical report out.  A same-seed
+pair produces zero deltas and zero findings — the
+``repro analyze --baseline`` CI check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from .analyze import TraceRun, TraceSpan, fault_census
+from .analyze import PathStat, TraceAnalysis, analyze_run
+from .tracer import SimTracer
 
 #: Relative change below which a quantity counts as unchanged (floats
 #: from two identical runs compare exactly; this guards real pairs).
 _REL_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class PathStat:
-    """Aggregate of one span path in one run."""
-
-    count: int
-    total_s: float
-    self_s: float
-
-
-@dataclass(frozen=True)
-class RunProfile:
-    """The alignable summary of one run (input to :func:`diff_runs`)."""
-
-    source: str
-    duration_s: float
-    paths: Dict[str, PathStat]
-    events: Dict[str, int]
-    fault_time_s: float
-    plan_hits: int
-    plan_misses: int
-    batch_count: int
-    mean_batch: float
-    mean_fill: float
-    arrivals: int
-    gpu_roles: Dict[str, Tuple[int, float]]   # "impl/role" -> (count, secs)
-
-
-def _path_label(span: TraceSpan) -> str:
-    impl = span.attrs.get("implementation")
-    return f"{span.name}[{impl}]" if impl is not None else span.name
-
-
-def profile_run(run: TraceRun) -> RunProfile:
-    """Summarise one loaded trace into its alignable form."""
-    paths: Dict[str, List[float]] = {}
-    gpu_roles: Dict[str, List[float]] = {}
-
-    def visit(span: TraceSpan, prefix: str, impl: str) -> None:
-        impl = str(span.attrs.get("implementation", impl))
-        path = f"{prefix}/{_path_label(span)}" if prefix else _path_label(span)
-        row = paths.setdefault(path, [0, 0.0, 0.0])
-        row[0] += 1
-        row[1] += span.duration_s
-        row[2] += span.self_s
-        if span.cat == "gpu":
-            role = str(span.attrs.get("role", "other"))
-            grow = gpu_roles.setdefault(f"{impl}/{role}", [0, 0.0])
-            grow[0] += 1
-            grow[1] += span.duration_s
-        for child in span.children:
-            visit(child, path, impl)
-
-    for root in run.roots:
-        visit(root, "", "(unattributed)")
-
-    events, fault_time = fault_census(run)
-    plans = run.find("serve.plan")
-    hits = sum(1 for p in plans if p.attrs.get("hit"))
-    batches = run.find("serve.batch")
-    sizes = [float(b.attrs.get("batch", 0)) for b in batches]
-    fills = [float(b.attrs.get("fill", 0)) for b in batches]
-    arrivals = sum(int(r.attrs.get("arrivals", 0)) for r in run.roots)
-    return RunProfile(
-        source=run.source,
-        duration_s=run.duration_s,
-        paths={k: PathStat(int(c), t, s)
-               for k, (c, t, s) in paths.items()},
-        events=events,
-        fault_time_s=fault_time,
-        plan_hits=hits,
-        plan_misses=len(plans) - hits,
-        batch_count=len(batches),
-        mean_batch=sum(sizes) / len(sizes) if sizes else 0.0,
-        mean_fill=sum(fills) / len(fills) if fills else 0.0,
-        arrivals=arrivals,
-        gpu_roles={k: (int(c), t) for k, (c, t) in gpu_roles.items()},
-    )
 
 
 @dataclass(frozen=True)
@@ -159,7 +85,8 @@ def _changed(base: float, cand: float) -> bool:
     return abs(cand - base) > _REL_EPS * max(scale, 1.0)
 
 
-def _path_deltas(base: RunProfile, cand: RunProfile) -> List[PathDelta]:
+def _path_deltas(base: TraceAnalysis,
+                 cand: TraceAnalysis) -> List[PathDelta]:
     zero = PathStat(0, 0.0, 0.0)
     deltas = []
     for path in sorted(set(base.paths) | set(cand.paths)):
@@ -177,7 +104,14 @@ def _path_deltas(base: RunProfile, cand: RunProfile) -> List[PathDelta]:
     return deltas
 
 
-def _findings(base: RunProfile, cand: RunProfile) -> List[Finding]:
+def _gpu_roles(a: TraceAnalysis) -> Dict[str, Tuple[int, float]]:
+    """``"impl/role"`` -> (kernel leaves, seconds)."""
+    return {f"{impl}/{role}": (a.launches[impl][role], secs)
+            for impl, roles in a.hotspots.items()
+            for role, secs in roles.items()}
+
+
+def _findings(base: TraceAnalysis, cand: TraceAnalysis) -> List[Finding]:
     findings: List[Finding] = []
 
     fault_events = {name: count for name, count in cand.events.items()
@@ -198,7 +132,9 @@ def _findings(base: RunProfile, cand: RunProfile) -> List[Finding]:
                       "candidate_events": dict(sorted(fault_events.items())),
                       "d_fault_time_s": d_fault_time}))
 
-    d_misses = cand.plan_misses - base.plan_misses
+    base_misses = base.plan_lookups.get("misses", 0)
+    cand_misses = cand.plan_lookups.get("misses", 0)
+    d_misses = cand_misses - base_misses
     if d_misses:
         rank_base = sum(st.total_s for p, st in base.paths.items()
                         if p.endswith("advisor.rank"))
@@ -207,16 +143,22 @@ def _findings(base: RunProfile, cand: RunProfile) -> List[Finding]:
         findings.append(Finding(
             cause="plan_cache_misses",
             detail=(f"{d_misses:+d} plan-cache misses "
-                    f"({base.plan_misses} -> {cand.plan_misses}); "
+                    f"({base_misses} -> {cand_misses}); "
                     f"advisor ranking time {rank_base * 1000:.3f} -> "
                     f"{rank_cand * 1000:.3f} ms"),
             magnitude_s=abs(rank_cand - rank_base),
             evidence={"d_misses": d_misses,
                       "d_rank_time_s": rank_cand - rank_base}))
 
-    if base.batch_count and cand.batch_count and \
-            (_changed(base.mean_batch, cand.mean_batch)
-             or _changed(base.mean_fill, cand.mean_fill)):
+    base_batches = int(base.batches["count"])
+    cand_batches = int(cand.batches["count"])
+    base_mean, cand_mean = (base.batches["mean_batch"],
+                            cand.batches["mean_batch"])
+    base_fill, cand_fill = (base.batches["mean_fill"],
+                            cand.batches["mean_fill"])
+    if base_batches and cand_batches and \
+            (_changed(base_mean, cand_mean)
+             or _changed(base_fill, cand_fill)):
         dispatch_base = sum(st.total_s for p, st in base.paths.items()
                             if "serve.dispatch" in p)
         dispatch_cand = sum(st.total_s for p, st in cand.paths.items()
@@ -227,19 +169,19 @@ def _findings(base: RunProfile, cand: RunProfile) -> List[Finding]:
             - (cand.fault_time_s - base.fault_time_s)
         findings.append(Finding(
             cause="batch_size_shift",
-            detail=(f"mean batch {base.mean_batch:.2f} -> "
-                    f"{cand.mean_batch:.2f}, mean fill "
-                    f"{base.mean_fill:.2f} -> {cand.mean_fill:.2f} "
-                    f"over {base.batch_count} -> {cand.batch_count} batches"),
+            detail=(f"mean batch {base_mean:.2f} -> {cand_mean:.2f}, "
+                    f"mean fill {base_fill:.2f} -> {cand_fill:.2f} "
+                    f"over {base_batches} -> {cand_batches} batches"),
             magnitude_s=abs(shift_s),
-            evidence={"d_mean_batch": cand.mean_batch - base.mean_batch,
-                      "d_mean_fill": cand.mean_fill - base.mean_fill,
-                      "d_batches": cand.batch_count - base.batch_count}))
+            evidence={"d_mean_batch": cand_mean - base_mean,
+                      "d_mean_fill": cand_fill - base_fill,
+                      "d_batches": cand_batches - base_batches}))
 
     drift_s = 0.0
     drift_roles: Dict[str, float] = {}
-    for key in sorted(set(base.gpu_roles) & set(cand.gpu_roles)):
-        (bc, bt), (cc, ct) = base.gpu_roles[key], cand.gpu_roles[key]
+    base_roles, cand_roles = _gpu_roles(base), _gpu_roles(cand)
+    for key in sorted(set(base_roles) & set(cand_roles)):
+        (bc, bt), (cc, ct) = base_roles[key], cand_roles[key]
         if bc == cc and _changed(bt, ct):
             drift_roles[key] = ct - bt
             drift_s += abs(ct - bt)
@@ -346,8 +288,9 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-def diff_runs(baseline: RunProfile, candidate: RunProfile) -> TraceDiff:
-    """Align two run profiles and attribute their differences."""
+def diff_runs(baseline: TraceAnalysis,
+              candidate: TraceAnalysis) -> TraceDiff:
+    """Align two runs' analyses and attribute their differences."""
     return TraceDiff(
         baseline=baseline.source,
         candidate=candidate.source,
@@ -359,6 +302,6 @@ def diff_runs(baseline: RunProfile, candidate: RunProfile) -> TraceDiff:
     )
 
 
-def diff_traces(baseline: TraceRun, candidate: TraceRun) -> TraceDiff:
-    """Convenience: profile and diff two loaded traces."""
-    return diff_runs(profile_run(baseline), profile_run(candidate))
+def diff_traces(baseline: SimTracer, candidate: SimTracer) -> TraceDiff:
+    """Analyze and diff two live or reloaded tracers."""
+    return diff_runs(analyze_run(baseline), analyze_run(candidate))

@@ -17,7 +17,7 @@ same-seed runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .metrics import MetricsRegistry
 from .tracer import SimTracer, Span
@@ -46,8 +46,10 @@ _ROWS: Dict[str, Tuple[int, str, int, str]] = {
 _DEFAULT_ROW = (1, "serve", 1, "scheduler")
 
 
-def _row(cat: str) -> Tuple[int, str, int, str]:
-    return _ROWS.get(cat, _DEFAULT_ROW)
+def _row(cat: str) -> Tuple[int, int]:
+    """``(pid, tid)`` of a span category in a single-run export."""
+    pid, _, tid, _ = _ROWS.get(cat, _DEFAULT_ROW)
+    return pid, tid
 
 
 def metadata_events(rows: Dict[int, Tuple[str, Dict[int, str]]]) -> List[dict]:
@@ -179,20 +181,6 @@ def profiler_trace(profiler) -> dict:
 # span forest → trace events
 # ---------------------------------------------------------------------------
 
-def _span_event(span: Span) -> dict:
-    pid, _, tid, _ = _row(span.cat)
-    return {
-        "name": span.name,
-        "cat": span.cat,
-        "ph": "X",
-        "pid": pid,
-        "tid": tid,
-        "ts": span.start_s * 1e6,          # microseconds
-        "dur": span.duration_s * 1e6,
-        "args": dict(span.attrs),
-    }
-
-
 def _instant(name: str, cat: str, t_s: float, attrs: dict,
              pid: int, tid: int) -> dict:
     return {"name": name, "cat": cat, "ph": "i", "s": "t",
@@ -200,18 +188,24 @@ def _instant(name: str, cat: str, t_s: float, attrs: dict,
             "args": dict(attrs)}
 
 
-def span_events(tracer: SimTracer) -> List[dict]:
+def span_events(tracer: SimTracer,
+                row: Callable[[str], Tuple[int, int]] = _row) -> List[dict]:
     """Flatten a tracer's span forest into Chrome trace events
     (complete ``X`` events for spans, instant ``i`` events for span
-    events), depth-first."""
+    events), depth-first.  ``row`` maps a span category to its
+    ``(pid, tid)``; orphan events take the ``"orphan"`` category's."""
     events: List[dict] = []
     for span in tracer.walk():
-        pid, _, tid, _ = _row(span.cat)
-        events.append(_span_event(span))
+        pid, tid = row(span.cat)
+        events.append({"name": span.name, "cat": span.cat, "ph": "X",
+                       "pid": pid, "tid": tid,
+                       "ts": span.start_s * 1e6,          # microseconds
+                       "dur": span.duration_s * 1e6,
+                       "args": dict(span.attrs)})
         for ev in span.events:
             events.append(_instant(ev.name, span.cat, ev.t_s, ev.attrs,
                                    pid, tid))
-    pid, _, tid, _ = _DEFAULT_ROW
+    pid, tid = row("orphan")
     for ev in tracer.orphan_events:
         events.append(_instant(ev.name, "orphan", ev.t_s, ev.attrs,
                                pid, tid))
@@ -225,9 +219,10 @@ CLUSTER_PID = 1
 #: pid of the first replica row; replica ``i`` lands on this + ``i``.
 REPLICA_PID_BASE = 10
 
-#: Thread layout inside one remapped replica (or router) process:
-#: serving-side categories share the scheduler thread, gpusim rows get
-#: their own — the same reading order as the single-server export.
+#: Thread layout inside one replica (or router) process of a cluster
+#: export: serving-side categories share the scheduler thread, gpusim
+#: rows get their own — the same reading order as the single-server
+#: export.
 _REMAP_TIDS: Dict[str, Tuple[int, str]] = {
     "gpu": (2, "compute"),
     "memcpy": (3, "copy engine"),
@@ -235,23 +230,11 @@ _REMAP_TIDS: Dict[str, Tuple[int, str]] = {
 _REMAP_DEFAULT_TID = (1, "scheduler")
 
 
-def remapped_span_events(tracer: SimTracer, pid: int) -> List[dict]:
-    """Flatten one tracer's span forest with every event forced onto
-    Perfetto process ``pid`` — how each cluster replica (and the
-    router itself) gets its own trace row in a merged export."""
-    events: List[dict] = []
-    for span in tracer.walk():
-        tid, _ = _REMAP_TIDS.get(span.cat, _REMAP_DEFAULT_TID)
-        e = _span_event(span)
-        e["pid"], e["tid"] = pid, tid
-        events.append(e)
-        for ev in span.events:
-            events.append(_instant(ev.name, span.cat, ev.t_s, ev.attrs,
-                                   pid, tid))
-    for ev in tracer.orphan_events:
-        events.append(_instant(ev.name, "orphan", ev.t_s, ev.attrs,
-                               pid, _REMAP_DEFAULT_TID[0]))
-    return events
+def _process_row(pid: int) -> Callable[[str], Tuple[int, int]]:
+    """The ``row`` mapping that puts a whole tracer on Perfetto process
+    ``pid`` — how each cluster replica (and the router itself) gets its
+    own row group in a merged export."""
+    return lambda cat: (pid, _REMAP_TIDS.get(cat, _REMAP_DEFAULT_TID)[0])
 
 
 def cluster_chrome_trace(router_tracer: SimTracer,
@@ -266,12 +249,12 @@ def cluster_chrome_trace(router_tracer: SimTracer,
     ``REPLICA_PID_BASE + i`` — each replica is one Perfetto row group
     with scheduler/compute threads, exactly the acceptance shape.
     """
-    events = remapped_span_events(router_tracer, CLUSTER_PID)
+    events = span_events(router_tracer, _process_row(CLUSTER_PID))
     processes: Dict[int, str] = {CLUSTER_PID: "cluster"}
     span_total = router_tracer.span_count()
     for i, (name, tracer) in enumerate(replica_tracers):
         pid = REPLICA_PID_BASE + i
-        events.extend(remapped_span_events(tracer, pid))
+        events.extend(span_events(tracer, _process_row(pid)))
         processes[pid] = name
         span_total += tracer.span_count()
     rows: Dict[int, Tuple[str, Dict[int, str]]] = {}
@@ -298,12 +281,8 @@ def write_cluster_chrome_trace(path: str, router_tracer: SimTracer,
                                registry: Optional[MetricsRegistry] = None,
                                **meta) -> str:
     """Serialise :func:`cluster_chrome_trace` to ``path``."""
-    text = json.dumps(cluster_chrome_trace(router_tracer, replica_tracers,
-                                           registry, **meta),
-                      indent=1, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+    return write_json(path, cluster_chrome_trace(
+        router_tracer, replica_tracers, registry, **meta), indent=1)
 
 
 def _used_rows(events: List[dict]) -> Dict[int, Tuple[str, Dict[int, str]]]:
@@ -345,80 +324,72 @@ def write_chrome_trace(path: str, tracer: SimTracer,
                        registry: Optional[MetricsRegistry] = None,
                        **meta) -> str:
     """Serialise :func:`chrome_trace` to ``path``; returns the JSON."""
-    text = json.dumps(chrome_trace(tracer, registry, **meta),
-                      indent=1, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+    return write_json(path, chrome_trace(tracer, registry, **meta), indent=1)
 
 
 # ---------------------------------------------------------------------------
 # JSONL structured event log
 # ---------------------------------------------------------------------------
 
-def _jsonl_header() -> str:
-    return json.dumps({"type": "header", "format": "repro-trace",
-                       "schema_version": SCHEMA_VERSION}, sort_keys=True)
+def span_record(span: Span) -> dict:
+    """One span as its JSONL record (the flight recorder's too)."""
+    return {"type": "span", "sid": span.sid, "parent": span.parent_sid,
+            "name": span.name, "cat": span.cat, "start_s": span.start_s,
+            "end_s": span.end_s, "attrs": dict(span.attrs)}
 
 
-def _tracer_jsonl(tracer: SimTracer) -> List[str]:
-    """One tracer's span/event records (no header), depth-first."""
-    lines: List[str] = []
-    for span in tracer.walk():
-        lines.append(json.dumps(
-            {"type": "span", "sid": span.sid, "parent": span.parent_sid,
-             "name": span.name, "cat": span.cat, "start_s": span.start_s,
-             "end_s": span.end_s, "attrs": dict(span.attrs)},
-            sort_keys=True))
-        for ev in span.events:
-            lines.append(json.dumps(
-                {"type": "event", "span": span.sid, "name": ev.name,
-                 "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
-    for ev in tracer.orphan_events:
-        lines.append(json.dumps(
-            {"type": "event", "span": None, "name": ev.name,
-             "t_s": ev.t_s, "attrs": dict(ev.attrs)}, sort_keys=True))
-    return lines
+def _event_record(sid: Optional[int], ev) -> str:
+    return json.dumps({"type": "event", "span": sid, "name": ev.name,
+                       "t_s": ev.t_s, "attrs": dict(ev.attrs)},
+                      sort_keys=True)
 
 
-def jsonl_lines(tracer: SimTracer) -> List[str]:
+def jsonl_lines(*tracers: SimTracer) -> List[str]:
     """One JSON object per span and per span event, depth-first —
     the grep-able form of the same tree.  The first line is a header
     record carrying :data:`SCHEMA_VERSION` so offline loaders can
-    refuse logs written by an incompatible exporter."""
-    return [_jsonl_header()] + _tracer_jsonl(tracer)
+    refuse logs written by an incompatible exporter.
 
-
-def cluster_jsonl_lines(router_tracer: SimTracer,
-                        replica_tracers: List[Tuple[str, SimTracer]]
-                        ) -> List[str]:
-    """One JSONL log for a whole fleet: the router's records followed
-    by each replica's, under a single header.  Span ids are already
-    disjoint (each replica's tracer gets its own ``first_sid`` block),
-    so the analyzer loads the merged log as one multi-root forest."""
-    lines = [_jsonl_header()] + _tracer_jsonl(router_tracer)
-    for _, tracer in replica_tracers:
-        lines.extend(_tracer_jsonl(tracer))
+    Several tracers (a fleet's router, then each replica) make one log
+    under one header, each tracer's records in turn.  Their span ids
+    are disjoint (each replica's tracer has its own ``first_sid``
+    block), so the analyzer loads the log as one multi-root forest.
+    """
+    lines = [json.dumps({"type": "header", "format": "repro-trace",
+                         "schema_version": SCHEMA_VERSION}, sort_keys=True)]
+    for tracer in tracers:
+        for span in tracer.walk():
+            lines.append(json.dumps(span_record(span), sort_keys=True))
+            lines.extend(_event_record(span.sid, ev) for ev in span.events)
+        lines.extend(_event_record(None, ev) for ev in tracer.orphan_events)
     return lines
 
 
-def write_jsonl(path: str, tracer: SimTracer) -> int:
-    """Write the JSONL event log; returns the line count."""
-    lines = jsonl_lines(tracer)
+def write_jsonl(path: str, *tracers: SimTracer) -> int:
+    """Write the JSONL event log of :func:`jsonl_lines`; returns the
+    line count."""
+    return write_lines(path, jsonl_lines(*tracers))
+
+
+# ---------------------------------------------------------------------------
+# the one file writer
+# ---------------------------------------------------------------------------
+
+def write_lines(path: str, lines: List[str]) -> int:
+    """Write ``lines`` to ``path``, each ending in a newline; returns
+    the line count.  The trace, metrics, incident-bundle and window-log
+    writers all go through here."""
     with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in lines)
     return len(lines)
 
 
-def write_cluster_jsonl(path: str, router_tracer: SimTracer,
-                        replica_tracers: List[Tuple[str, SimTracer]]) -> int:
-    """Write the merged fleet JSONL event log; returns the line count."""
-    lines = cluster_jsonl_lines(router_tracer, replica_tracers)
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    return len(lines)
+def write_json(path: str, doc, indent: int) -> str:
+    """Write ``doc`` as sorted-key JSON (byte-stable for same-seed
+    runs) and a newline; returns the JSON text."""
+    text = json.dumps(doc, indent=indent, sort_keys=True)
+    write_lines(path, [text])
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +408,7 @@ def write_metrics(path: str, registry: MetricsRegistry) -> str:
     histogram sections; :func:`load_metrics_snapshot` checks it.
     """
     doc = dict(registry.snapshot(), schema_version=SCHEMA_VERSION)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+    return write_json(path, doc, indent=2)
 
 
 def cluster_metrics_doc(fleet_registry: MetricsRegistry,
@@ -463,12 +431,9 @@ def write_cluster_metrics(path: str, fleet_registry: MetricsRegistry,
                           ) -> str:
     """Serialise :func:`cluster_metrics_doc` to ``path`` (stable key
     order — same-seed runs write byte-identical files)."""
-    text = json.dumps(cluster_metrics_doc(fleet_registry,
-                                          replica_registries),
-                      indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+    return write_json(path, cluster_metrics_doc(fleet_registry,
+                                                replica_registries),
+                      indent=2)
 
 
 def load_metrics_snapshot(path: str) -> dict:
@@ -484,7 +449,7 @@ def load_metrics_snapshot(path: str) -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TraceSchemaError(f"{path}: not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "otherData" in doc:
         if not isinstance(doc["otherData"], dict):

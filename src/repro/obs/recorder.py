@@ -23,7 +23,6 @@ are registry-fed and stay exact at any sampling rate).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Dict, List, Optional
 
@@ -33,23 +32,17 @@ _TAIL_ROOTS = 8
 
 
 def span_records(tracer, limit: int) -> List[dict]:
-    """The last ``limit`` finished spans of a tracer, as the same
-    record shape the JSONL trace exporter writes (depth-first order
-    within the captured tail)."""
+    """The last ``limit`` finished spans of a tracer, as the records
+    the JSONL trace exporter writes (depth-first order within the
+    captured tail)."""
     if tracer is None or not getattr(tracer, "enabled", False):
         return []
-    records: List[dict] = []
-    for root in tracer.roots[-_TAIL_ROOTS:]:
-        stack = [root]
-        while stack:
-            span = stack.pop()
-            records.append(
-                {"type": "span", "sid": span.sid, "parent": span.parent_sid,
-                 "name": span.name, "cat": span.cat,
-                 "start_s": span.start_s, "end_s": span.end_s,
-                 "attrs": dict(span.attrs)})
-            stack.extend(reversed(span.children))
-    return records[-limit:]
+    # Imported here: a fleet run loads this module, and needs the
+    # exporter only once an incident fires.
+    from .export import span_record
+
+    return [span_record(span) for span in
+            tracer.walk(tracer.roots[-_TAIL_ROOTS:])][-limit:]
 
 
 def sampler_stats(tracer) -> Optional[Dict[str, int]]:
@@ -112,7 +105,6 @@ class FlightRecorder:
 
 def write_incident_bundle(path: str, bundle: dict) -> str:
     """Serialise one bundle (sorted keys — byte-deterministic)."""
-    text = json.dumps(bundle, indent=1, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    return text
+    from .export import write_json
+
+    return write_json(path, bundle, indent=1)

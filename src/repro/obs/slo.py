@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: Rule kinds that are sugar for a histogram statistic check.
 _HISTOGRAM_SUGAR: Dict[str, Tuple[str, str]] = {
@@ -201,28 +201,38 @@ def evaluate_slo(snapshot: dict, rules: Tuple[SLORule, ...],
 # rules files
 # ---------------------------------------------------------------------------
 
+#: Each rule field's type in a rules document (a bool is not a number).
+_RULE_FIELDS = {"name": str, "kind": str, "threshold": (int, float),
+                "metric": str, "stat": str, "budget": (int, float)}
+
+
 def parse_rules(doc: object) -> Tuple[SLORule, ...]:
     """Build rules from a JSON document: either a list of rule objects
-    or ``{"rules": [...]}``.  Unknown keys and kinds raise
-    :class:`ValueError`."""
+    or ``{"rules": [...]}``.  Unknown or missing keys, a field of the
+    wrong type and unknown kinds raise :class:`ValueError`."""
     if isinstance(doc, dict):
         doc = doc.get("rules")
     if not isinstance(doc, list) or not doc:
         raise ValueError("rules document must be a non-empty list "
                          "(or {'rules': [...]})")
     rules = []
-    fields = {"name", "kind", "threshold", "metric", "stat", "budget"}
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise ValueError(f"rule #{i}: expected an object, got "
                              f"{type(entry).__name__}")
-        unknown = set(entry) - fields
+        unknown = set(entry) - set(_RULE_FIELDS)
         if unknown:
             raise ValueError(f"rule #{i}: unknown keys "
                              f"{sorted(unknown)}")
         missing = {"name", "kind", "threshold"} - set(entry)
         if missing:
             raise ValueError(f"rule #{i}: missing keys {sorted(missing)}")
+        for key, value in entry.items():
+            types = _RULE_FIELDS[key]
+            if isinstance(value, bool) or not isinstance(value, types):
+                kind = "a string" if types is str else "a number"
+                raise ValueError(f"rule #{i}: {key!r} must be {kind}, "
+                                 f"got {value!r}")
         rules.append(SLORule(**entry))
     return tuple(rules)
 
@@ -232,7 +242,7 @@ def load_rules(path: str) -> Tuple[SLORule, ...]:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
         return parse_rules(doc)

@@ -29,14 +29,12 @@ Design constraints, in order:
 2. **Exact under trace sampling.**  Every serving-plane counter
    (offered / completed / shed / rejected / plan-cache traffic) and
    every latency percentile is fed from the registry and the
-   completion stream, which ``--trace-sample`` never thins.  What may
-   legitimately differ between sampling rates is anything keyed to
-   the *dispatch path taken*: sampled-out batches ride the memoized
-   fast path, which replays timings without touching the evalcache or
-   launching kernels, so the engine-plane counters (``evalcache_*``,
-   ``gpusim_*``) and the dispatch-memo probe follow the actual mix of
-   paths — as they should (the report stays byte-identical either
-   way).
+   completion stream, which ``--trace-sample`` never thins.  One
+   engine-plane counter may legitimately differ between sampling
+   rates: a kept batch lays out its gpusim kernel leaves from an
+   evaluation-cache lookup, and a sampled-out batch skips that
+   lookup, so the ``evalcache_requests_total`` hits follow the number
+   of kept batches (the report stays byte-identical either way).
 
 3. **Byte-deterministic exports.**  The JSONL window log and the
    OpenMetrics-style text render are sorted-key serialisations of the
@@ -379,11 +377,11 @@ def window_log_lines(rollups: Rollups) -> List[str]:
 
 def write_window_log(path: str, rollups: Rollups) -> int:
     """Write the JSONL window log; returns the line count."""
-    lines = window_log_lines(rollups)
-    with open(path, "w") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-    return len(lines)
+    # Imported here: the serving loop loads this module, not the
+    # exporter.
+    from .export import write_lines
+
+    return write_lines(path, window_log_lines(rollups))
 
 
 def load_window_log(path: str) -> Tuple[dict, List[dict]]:
@@ -398,7 +396,7 @@ def load_window_log(path: str) -> Tuple[dict, List[dict]]:
     try:
         header = json.loads(raw[0])
         docs = [json.loads(line) for line in raw[1:]]
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceSchemaError(f"{path}: not valid JSONL: {exc}") from exc
     for lineno, doc in enumerate([header] + docs, start=1):
         if not isinstance(doc, dict):

@@ -20,16 +20,16 @@ answers every call with shared no-op objects: no allocation, no
 branching at call sites.
 
 Full tracing of a million-request run is expensive in host time and
-memory, so :class:`TraceSampler` wraps a :class:`SimTracer` and keeps
-only one in every N *units* (the ``serve.batch`` span and everything
-nested under it); spans outside any unit — the run root, admission
-events, autoscaler actions — are always kept.  Sampling is a purely
-observational change: the metrics registry still counts every request
-exactly, and the simulated report is byte-identical to an untraced
-run.  Call sites distinguish ``tracer.enabled`` (is this a real
-tracer at all — drives span bookkeeping like hit-rate annotations)
-from ``tracer.recording`` (are spans being kept *right now* — drives
-expensive span synthesis like gpusim kernel leaves).
+memory, so :class:`TraceSampler`, a :class:`SimTracer` that records
+less, keeps only one in every N *units* (the ``serve.batch`` span and
+everything nested under it); spans outside any unit — the run root,
+admission events, autoscaler actions — are always kept.  Sampling is
+a purely observational change: the metrics registry still counts
+every request exactly, and the simulated report is byte-identical to
+an untraced run.  Call sites distinguish ``tracer.enabled`` (is this
+a real tracer at all — drives span bookkeeping like hit-rate
+annotations) from ``tracer.recording`` (are spans being kept *right
+now* — drives expensive span synthesis like gpusim kernel leaves).
 """
 
 from __future__ import annotations
@@ -97,6 +97,11 @@ class Span:
         """Span length (0.0 while still open)."""
         return 0.0 if self.end_s is None else self.end_s - self.start_s
 
+    @property
+    def self_s(self) -> float:
+        """Time spent in this span but not in any child."""
+        return self.duration_s - sum(c.duration_s for c in self.children)
+
     # -- context manager ---------------------------------------------------
 
     def __enter__(self) -> "Span":
@@ -124,12 +129,18 @@ class SimTracer:
     ``first_sid`` offsets span ids so several tracers can be merged
     into one export without collisions — the cluster gives each
     replica's tracer its own disjoint sid block.
+
+    A saved JSONL log reloads into the same type
+    (:func:`repro.obs.analyze.parse_jsonl`): its spans keep their
+    recorded sids, and :attr:`source` names the file.
     """
 
     enabled = True
     #: Spans opened now will actually be kept (always true for a bare
     #: SimTracer; a :class:`TraceSampler` flips it inside dropped units).
     recording = True
+    #: Where the forest came from: a reloaded log's path, or this.
+    source = "<tracer>"
 
     def __init__(self, clock, first_sid: int = 1):
         if first_sid < 1:
@@ -180,18 +191,18 @@ class SimTracer:
 
     def span_count(self) -> int:
         """Total finished spans across all roots."""
-        def count(span: Span) -> int:
-            return 1 + sum(count(c) for c in span.children)
-        return sum(count(r) for r in self.roots)
+        return sum(1 for _ in self.walk())
 
-    def walk(self):
-        """Yield every finished span depth-first, roots in order."""
-        def visit(span: Span):
+    def walk(self, roots: Optional[List[Span]] = None):
+        """Yield every finished span under ``roots`` (default: all of
+        them) depth-first, each parent before its children, in order.
+        An explicit stack, not recursion, so any nesting depth walks."""
+        stack = list(reversed(self.roots if roots is None else roots))
+        while stack:
+            span = stack.pop()
             yield span
-            for child in span.children:
-                yield from visit(child)
-        for root in self.roots:
-            yield from visit(root)
+            if span.children:
+                stack.extend(reversed(span.children))
 
     def find(self, name: str) -> List[Span]:
         """All finished spans with this name, depth-first order."""
@@ -279,7 +290,7 @@ class NullTracer:
     def span_count(self) -> int:
         return 0
 
-    def walk(self):
+    def walk(self, roots=None):
         return iter(())
 
     def find(self, name: str) -> List[Span]:
@@ -318,8 +329,8 @@ class _GateSpan:
         self._sampler._suppressed -= 1
 
 
-class TraceSampler:
-    """1-in-N unit sampling over a :class:`SimTracer`.
+class TraceSampler(SimTracer):
+    """1-in-N unit sampling: a :class:`SimTracer` that records less.
 
     A *unit* is one span tree rooted at ``unit`` (``serve.batch`` by
     default — one dynamic batch with its plan lookup, dispatch and
@@ -332,26 +343,22 @@ class TraceSampler:
 
     Only the trace thins out: the metrics registry is untouched, every
     counter stays exact, and the simulated report is unchanged (the
-    scheduler's byte-identity invariant).  Exports work unchanged —
-    the sampler delegates the whole read API (``roots`` / ``walk`` /
-    ``orphan_events`` / ``span_count`` / ``find`` / ``clock``) to the
-    wrapped tracer.
+    scheduler's byte-identity invariant).  Only recording is
+    overridden, so exports and analytics read a sampler as they read
+    any tracer.
     """
 
-    enabled = True
-
-    def __init__(self, inner: SimTracer, every: int, unit: str = "serve.batch"):
+    def __init__(self, clock, every: int, unit: str = "serve.batch",
+                 first_sid: int = 1):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
-        self.inner = inner
+        super().__init__(clock, first_sid)
         self.every = every
         self.unit = unit
         #: Units seen / units whose span tree was kept.
         self.units_total = 0
         self.units_kept = 0
         self._suppressed = 0
-
-    # -- recording ---------------------------------------------------------
 
     @property
     def recording(self) -> bool:
@@ -367,44 +374,17 @@ class TraceSampler:
             if (self.units_total - 1) % self.every:
                 return _GateSpan(self)
             self.units_kept += 1
-        return self.inner.span(name, cat, **attrs)
+        return super().span(name, cat, **attrs)
 
     def event(self, name: str, **attrs) -> None:
         if not self._suppressed:
-            self.inner.event(name, **attrs)
+            super().event(name, **attrs)
 
     def add_span(self, name: str, cat: str, start_s: float, end_s: float,
                  **attrs):
         if self._suppressed:
             return _NULL_SPAN
-        return self.inner.add_span(name, cat, start_s, end_s, **attrs)
-
-    # -- delegated read API (exports and analytics) ------------------------
-
-    @property
-    def clock(self):
-        return self.inner.clock
-
-    @property
-    def roots(self) -> List[Span]:
-        return self.inner.roots
-
-    @property
-    def orphan_events(self) -> List[SpanEvent]:
-        return self.inner.orphan_events
-
-    @property
-    def current(self) -> Optional[Span]:
-        return self.inner.current
-
-    def span_count(self) -> int:
-        return self.inner.span_count()
-
-    def walk(self):
-        return self.inner.walk()
-
-    def find(self, name: str) -> List[Span]:
-        return self.inner.find(name)
+        return super().add_span(name, cat, start_s, end_s, **attrs)
 
     def stats(self) -> Dict[str, int]:
         return {"units_total": self.units_total,

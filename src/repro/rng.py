@@ -9,7 +9,7 @@ modern ``Generator`` API rather than the legacy global state.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

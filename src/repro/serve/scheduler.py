@@ -51,7 +51,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.advisor import Advisor, RankedPlan
 from ..gpusim.device import spec_digest
@@ -203,11 +203,10 @@ class Server:
         rollups split series by."""
         return self._device_label
 
-    def enable_tracing(self, sample: int = 1) -> Union[SimTracer,
-                                                       TraceSampler]:
+    def enable_tracing(self, sample: int = 1) -> SimTracer:
         """Attach a span tracer driven by this server's clock.
 
-        ``sample`` > 1 wraps it in a :class:`~repro.obs.tracer.
+        ``sample`` > 1 makes it a :class:`~repro.obs.tracer.
         TraceSampler` keeping one in every ``sample`` ``serve.batch``
         span trees (exact metrics, thinned trace).  Returns the tracer
         so the caller can export its span forest after :meth:`run`
@@ -215,9 +214,8 @@ class Server:
         """
         if sample < 1:
             raise ValueError(f"sample must be >= 1, got {sample}")
-        tracer: Union[SimTracer, TraceSampler] = SimTracer(self.clock)
-        if sample > 1:
-            tracer = TraceSampler(tracer, sample)
+        tracer = (TraceSampler(self.clock, sample) if sample > 1
+                  else SimTracer(self.clock))
         self.obs.tracer = tracer
         return tracer
 

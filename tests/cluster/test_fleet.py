@@ -11,8 +11,8 @@ from repro.cluster import (AutoscalePolicy, Cluster, ClusterConfig,
 from repro.faults import named_plan
 from repro.faults.plan import PLAN_NAMES
 from repro.obs.export import (CLUSTER_PID, REPLICA_PID_BASE,
-                              cluster_chrome_trace, cluster_jsonl_lines,
-                              cluster_metrics_doc)
+                              cluster_chrome_trace, cluster_metrics_doc,
+                              jsonl_lines)
 from repro.obs.slo import SLOPolicy, SLORule
 from repro.serve import BatchPolicy, ServerConfig, TrafficSpec, generate_trace
 
@@ -307,8 +307,8 @@ class TestExports:
 
     def test_span_ids_never_collide_across_tracers(self):
         cluster = self.traced_run()
-        lines = cluster_jsonl_lines(cluster.obs.tracer,
-                                    cluster.replica_tracers)
+        lines = jsonl_lines(cluster.obs.tracer,
+                            *(t for _, t in cluster.replica_tracers))
         sids = [json.loads(l)["sid"] for l in lines
                 if json.loads(l).get("type") == "span"]
         assert len(sids) == len(set(sids))

@@ -12,9 +12,10 @@ from repro.frameworks.registry import get_implementation
 from repro.gpusim.device import K40C
 from repro.gpusim.timing import SimClock
 from repro.obs.analyze import (analyze_run, critical_path, fault_census,
-                               from_tracer, hotspot_shares, hotspot_table,
-                               load_jsonl, parse_jsonl, reconcile_hotspots,
+                               hotspot_shares, hotspot_table, load_jsonl,
+                               parse_jsonl, reconcile_hotspots,
                                span_aggregates)
+from repro.obs.diff import diff_traces
 from repro.obs.export import jsonl_lines, write_jsonl
 from repro.obs.tracer import SimTracer
 from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
@@ -55,10 +56,12 @@ def small_tracer():
 
 class TestLoading:
     def test_round_trip_preserves_tree(self, run):
-        live = from_tracer(traced_run())
+        live = traced_run()
+        assert isinstance(run, SimTracer)
         assert run.span_count() == live.span_count()
-        assert run.duration_s == pytest.approx(live.duration_s)
-        assert [s.name for s in run.walk()] == [s.name for s in live.walk()]
+        assert analyze_run(run).duration_s == analyze_run(live).duration_s
+        assert [(s.sid, s.parent_sid, s.name) for s in run.walk()] == \
+            [(s.sid, s.parent_sid, s.name) for s in live.walk()]
 
     def test_load_jsonl_from_disk(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -111,7 +114,6 @@ class TestLoading:
                            "name": "a", "cat": "serve",
                            "start_s": 0.0, "end_s": 1.0, "attrs": {}})
         run = parse_jsonl([span])
-        assert run.schema_version == 1
         assert run.span_count() == 1
 
 
@@ -169,8 +171,7 @@ class TestMalformedRecords:
 
 class TestCriticalPath:
     def test_descends_into_dominant_child(self):
-        run = from_tracer(small_tracer())
-        steps = critical_path(run.roots[0])
+        steps = critical_path(small_tracer().roots[0])
         assert [s.name for s in steps] == ["root", "long", "leaf"]
         assert steps[0].duration_s == pytest.approx(0.035)
         assert steps[0].self_s == pytest.approx(0.005)
@@ -183,14 +184,13 @@ class TestCriticalPath:
                 clock.advance(0.010)
             with tracer.span("second", cat="serve"):
                 clock.advance(0.010)
-        steps = critical_path(from_tracer(tracer).roots[0])
+        steps = critical_path(tracer.roots[0])
         assert [s.name for s in steps] == ["root", "first"]
 
 
 class TestAggregates:
     def test_self_time_excludes_children(self):
-        stats = {s.name: s for s in span_aggregates(from_tracer(
-            small_tracer()))}
+        stats = {s.name: s for s in span_aggregates(small_tracer())}
         assert stats["root"].total_s == pytest.approx(0.035)
         assert stats["root"].self_s == pytest.approx(0.005)
         assert stats["long"].self_s == pytest.approx(0.020)
@@ -242,7 +242,7 @@ class TestHotspots:
                 tracer.add_span(name, cat="gpu", start_s=t,
                                 end_s=t + k.time_s, role=role)
                 t += k.time_s
-        shares = hotspot_shares(hotspot_table(from_tracer(tracer)))
+        shares = hotspot_shares(hotspot_table(tracer))
         (breakdown,) = hotspot_kernel_analysis(BASE_CONFIG,
                                                implementations=[impl])
         assert set(shares[impl.paper_name]) == set(breakdown.role_shares)
@@ -261,7 +261,7 @@ class TestFaultCensus:
 
         spec = TrafficSpec(duration_s=1.0, rate_rps=1500.0, seed=7)
         plan = named_plan("chaos", duration_s=spec.duration_s)
-        run = from_tracer(traced_run(fault_plan=plan, spec=spec))
+        run = traced_run(fault_plan=plan, spec=spec)
         events, fault_time = fault_census(run)
         assert events.get("fault.transient", 0) > 0
         assert fault_time > 0.0
@@ -290,3 +290,33 @@ class TestAnalyzeRun:
         assert "critical path" in text
         assert "span aggregates" in text
         assert "Fig. 4 view" in text
+
+
+class TestDeepNesting:
+    """A well-formed log nested 5,000 deep, each span the parent of the
+    next, loads, analyzes and diffs: no walk recurses."""
+
+    DEPTH = 5000
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("deep") / "chain.jsonl"
+        lines = [span_record(sid=i, parent=i - 1 if i else None, name="s",
+                             start_s=i * 1e-6, end_s=1.0 - i * 1e-6)
+                 for i in range(self.DEPTH)]
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    def test_parse_analyze_and_diff(self, chain):
+        run = load_jsonl(str(chain))
+        assert run.span_count() == self.DEPTH
+        analysis = analyze_run(run)
+        assert len(analysis.critical) == self.DEPTH
+        assert analysis.critical[-1].depth == self.DEPTH - 1
+        assert diff_traces(run, load_jsonl(str(chain))).identical
+
+    def test_cli_analyze_with_baseline_exits_zero(self, chain, capsys):
+        from repro.__main__ import main
+        assert main(["analyze", str(chain), "--baseline", str(chain)]) == 0
+        out = capsys.readouterr().out
+        assert "runs are identical: zero deltas, zero findings" in out

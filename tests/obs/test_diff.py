@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.evalcache import reset_cache
 from repro.faults import named_plan
-from repro.obs.analyze import from_tracer, parse_jsonl
-from repro.obs.diff import diff_runs, diff_traces, profile_run
+from repro.obs.analyze import analyze_run, parse_jsonl
+from repro.obs.diff import diff_runs, diff_traces
 from repro.obs.export import jsonl_lines
 from repro.serve import Server, ServerConfig, TrafficSpec, generate_trace
 
@@ -27,30 +27,35 @@ def traced_run(fault_plan=None, spec=SPEC):
 
 @pytest.fixture(scope="module")
 def baseline():
-    return from_tracer(traced_run())
+    return traced_run()
 
 
 class TestProfile:
+    """What the analysis pass collects for the diff to align."""
+
     def test_paths_are_implementation_labelled(self, baseline):
-        profile = profile_run(baseline)
-        dispatch = [p for p in profile.paths if "serve.dispatch[" in p]
-        assert dispatch, sorted(profile.paths)
-        assert profile.batch_count > 0
-        assert profile.arrivals > 0
-        assert profile.plan_hits + profile.plan_misses > 0
+        analysis = analyze_run(baseline)
+        dispatch = [p for p in analysis.paths if "serve.dispatch[" in p]
+        assert dispatch, sorted(analysis.paths)
+        assert analysis.batches["count"] > 0
+        assert analysis.arrivals > 0
+        assert sum(analysis.plan_lookups.values()) > 0
 
     def test_gpu_roles_keyed_by_impl_and_role(self, baseline):
-        profile = profile_run(baseline)
-        assert profile.gpu_roles
-        for key, (count, secs) in profile.gpu_roles.items():
-            impl, role = key.split("/", 1)
+        analysis = analyze_run(baseline)
+        assert analysis.launches
+        assert set(analysis.launches) == set(analysis.hotspots)
+        for impl, counts in analysis.launches.items():
             assert impl != "(unattributed)"
-            assert count > 0 and secs >= 0.0, (key, count, secs)
+            assert set(counts) == set(analysis.hotspots[impl])
+            for role, count in counts.items():
+                secs = analysis.hotspots[impl][role]
+                assert count > 0 and secs >= 0.0, (impl, role, count, secs)
 
 
 class TestIdenticalRuns:
     def test_same_seed_runs_diff_to_identical(self, baseline):
-        other = from_tracer(traced_run())
+        other = traced_run()
         diff = diff_traces(baseline, other)
         assert diff.identical
         assert diff.deltas == ()
@@ -58,7 +63,7 @@ class TestIdenticalRuns:
         assert diff.d_duration_s == 0.0
 
     def test_identical_render_says_so(self, baseline):
-        diff = diff_traces(baseline, from_tracer(traced_run()))
+        diff = diff_traces(baseline, traced_run())
         assert "runs are identical: zero deltas, zero findings" \
             in diff.render()
 
@@ -75,8 +80,8 @@ class TestChaosAttribution:
     def chaos_pair(self):
         spec = TrafficSpec(duration_s=1.0, rate_rps=1500.0, seed=7)
         plan = named_plan("chaos", duration_s=spec.duration_s)
-        quiet = from_tracer(traced_run(spec=spec))
-        chaos = from_tracer(traced_run(fault_plan=plan, spec=spec))
+        quiet = traced_run(spec=spec)
+        chaos = traced_run(fault_plan=plan, spec=spec)
         return quiet, chaos
 
     def test_chaos_twin_is_not_identical(self, chaos_pair):
@@ -107,7 +112,7 @@ class TestChaosAttribution:
 class TestWorkloadChange:
     def test_different_load_flagged_not_like_for_like(self, baseline):
         other_spec = TrafficSpec(duration_s=0.05, rate_rps=400.0, seed=7)
-        other = from_tracer(traced_run(spec=other_spec))
+        other = traced_run(spec=other_spec)
         diff = diff_traces(baseline, other)
         causes = {f.cause for f in diff.findings}
         assert "workload_change" in causes
@@ -120,13 +125,13 @@ class TestDeterminism:
         spec = TrafficSpec(duration_s=0.05, rate_rps=400.0, seed=11)
         blobs = []
         for _ in range(2):
-            cand = from_tracer(traced_run(spec=spec))
-            diff = diff_runs(profile_run(baseline), profile_run(cand))
+            cand = traced_run(spec=spec)
+            diff = diff_runs(analyze_run(baseline), analyze_run(cand))
             blobs.append(json.dumps(diff.to_dict(), sort_keys=True))
         assert blobs[0] == blobs[1]
 
     def test_deltas_sorted_by_impact(self, baseline):
         spec = TrafficSpec(duration_s=0.05, rate_rps=400.0, seed=7)
-        diff = diff_traces(baseline, from_tracer(traced_run(spec=spec)))
+        diff = diff_traces(baseline, traced_run(spec=spec))
         impacts = [abs(d.d_total_s) for d in diff.deltas]
         assert impacts == sorted(impacts, reverse=True)

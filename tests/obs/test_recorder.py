@@ -9,9 +9,9 @@ from repro.obs.timeseries import Rollups
 from repro.obs.tracer import SimTracer, TraceSampler
 
 
-def traced(n=3, clock=None):
+def traced(n=3, tracer=None):
     """A tracer with ``n`` finished ``serve.batch`` roots."""
-    tracer = SimTracer(clock or SimClock())
+    tracer = tracer or SimTracer(SimClock())
     for i in range(n):
         with tracer.span("serve.batch", rid=i):
             with tracer.span("serve.dispatch"):
@@ -44,8 +44,8 @@ class TestSpanRecords:
         assert records[-2]["attrs"]["rid"] == 3
 
     def test_sampler_delegates(self):
-        tracer = TraceSampler(traced(2), every=1)
-        assert len(span_records(tracer, 10)) == 4
+        tracer = traced(2, TraceSampler(SimClock(), every=1))
+        assert span_records(tracer, 10) == span_records(traced(2), 10)
 
 
 class TestSamplerStats:
@@ -54,7 +54,7 @@ class TestSamplerStats:
         assert sampler_stats(None) is None
 
     def test_sampler_reports_kept_counts(self):
-        tracer = TraceSampler(SimTracer(SimClock()), every=2)
+        tracer = TraceSampler(SimClock(), every=2)
         for i in range(4):
             with tracer.span("serve.batch", rid=i):
                 pass
@@ -92,7 +92,7 @@ class TestFlightRecorder:
         assert len(recorder.bundle("test", 0.0)["spans"]) == 2
 
     def test_sampled_stream_marked_partial(self):
-        tracer = TraceSampler(SimTracer(SimClock()), every=2)
+        tracer = TraceSampler(SimClock(), every=2)
         for i in range(4):
             with tracer.span("serve.batch", rid=i):
                 pass
@@ -101,7 +101,7 @@ class TestFlightRecorder:
         assert bundle["sampler"]["units_kept"] == 2
 
     def test_sampler_that_kept_everything_is_not_partial(self):
-        tracer = TraceSampler(SimTracer(SimClock()), every=1)
+        tracer = TraceSampler(SimClock(), every=1)
         with tracer.span("serve.batch"):
             pass
         bundle = FlightRecorder("r0", tracer=tracer).bundle("test", 0.0)

@@ -159,6 +159,60 @@ class TestRulesFiles:
         with pytest.raises(ValueError, match="not valid JSON"):
             load_rules(str(path))
 
+    def test_load_rules_nested_too_deep_is_not_valid_json(self, tmp_path):
+        path = tmp_path / "rules.json"
+        path.write_text("[" * 5000)
+        with pytest.raises(ValueError, match="not valid JSON"):
+            load_rules(str(path))
+
+
+
+#: Rule fields of the wrong type: (fields over a valid latency rule,
+#: the error after ``rule #1: ``).
+MISTYPED = {
+    "budget_string": ({"kind": "error_budget_burn", "budget": "x"},
+                      "'budget' must be a number, got 'x'"),
+    "threshold_string": ({"threshold": "x"},
+                         "'threshold' must be a number, got 'x'"),
+    "threshold_null": ({"threshold": None},
+                       "'threshold' must be a number, got None"),
+    "threshold_bool": ({"threshold": True},
+                       "'threshold' must be a number, got True"),
+    "name_number": ({"name": 5}, "'name' must be a string, got 5"),
+    "metric_number": ({"metric": 3}, "'metric' must be a string, got 3"),
+}
+
+
+class TestMistypedRules:
+    """A rule field of the wrong type is one ``ValueError`` naming the
+    rule's index, so the CLI prints one ``repro: error:`` line."""
+
+    def rules(self, case):
+        fields, _ = MISTYPED[case]
+        return [{"name": "shed", "kind": "shed_rate", "threshold": 0.05},
+                dict({"name": "p99", "kind": "latency_p99",
+                      "threshold": 0.25}, **fields)]
+
+    @pytest.mark.parametrize("case", list(MISTYPED))
+    def test_parse_names_rule_and_field(self, case):
+        with pytest.raises(ValueError) as exc:
+            parse_rules(self.rules(case))
+        assert str(exc.value) == f"rule #1: {MISTYPED[case][1]}"
+
+    @pytest.mark.parametrize("case", list(MISTYPED))
+    def test_slo_command_prints_one_error_line(self, case, tmp_path,
+                                               capsys):
+        from repro.__main__ import main
+        rules = tmp_path / "bad.json"
+        rules.write_text(json.dumps(self.rules(case)))
+        metrics = tmp_path / "m.json"
+        metrics.write_text(json.dumps(snapshot(
+            offered=10, completed=9, latency=[0.01, 0.02])))
+        assert main(["slo", str(metrics), "--rules", str(rules)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"repro: error: {rules}: rule #1: {MISTYPED[case][1]}"]
+
 
 class TestMonitor:
     def make_obs(self):

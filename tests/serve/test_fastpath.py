@@ -421,7 +421,7 @@ class TestTraceSampler:
 
     def test_sample_1_is_plain_tracer(self):
         tracer, _ = self.run_traced(1)
-        assert isinstance(tracer, SimTracer)
+        assert type(tracer) is SimTracer
 
     def test_sampling_thins_spans_keeps_exact_report(self):
         full, full_report = self.run_traced(1)
